@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import hardy, herglotz, jsonio, monotone, nevanlinna, series
 from .matcore import DISK_TO_HALF, HALF_TO_DISK, CalcError, MatrixTuple, cayley
@@ -55,11 +55,8 @@ def build_parser() -> _Parser:
 
     def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
         c = sub.add_parser(name, help=help_text)
-        c.add_argument("--degree", type=int, default=4)
-        c.add_argument("--tol", type=float, default=1e-9)
-        c.add_argument("--seed", type=int, default=0)
-        c.add_argument("--samples", type=int, default=100)
-        c.add_argument("--dim", type=int, default=2)
+        for fld in fields(RunConfig):
+            c.add_argument(f"--{fld.name}", type=type(fld.default), default=fld.default)
         c.add_argument("--out", default=None, help="write the report here instead of stdout")
         return c
 

@@ -49,10 +49,7 @@ class SzegoFrame:
 
 def szego_kernels(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> SzegoFrame:
     order = W.enumerate_words(X.d, L, budget=budget)
-    values = W.eval_words(X, order.words)
-    K = np.empty((len(order), X.n * X.n), dtype=np.complex128)
-    for idx, w in enumerate(order.words):
-        K[idx, :] = values[w].conj().reshape(-1)
+    K = W.monomial_stack(X, order).conj().reshape(len(order), X.n * X.n)
     gram = K.conj().T @ K
     vals = la.eigvalsh(hermitianize(gram))
     top = max(float(vals[-1]), 0.0)

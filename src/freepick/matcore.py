@@ -15,7 +15,6 @@ immutable after construction, so they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.linalg as la
@@ -133,10 +132,6 @@ class MatrixTuple:
     def max_norm(self) -> float:
         """max_i ||X_i||_2, the radius used by tail bounds."""
         return max(spectral_norm(M) for M in self.mats)
-
-
-def from_arrays(mats: Iterable) -> MatrixTuple:
-    return MatrixTuple(tuple(np.asarray(M) for M in mats))
 
 
 def imag_part(M) -> np.ndarray:

@@ -35,7 +35,8 @@ from .series import (
     FreeSeries,
     derivative,
     eval_series,
-    monomial_vector,
+    localizing_matrix,
+    pencil_contraction,
     require_real_free,
 )
 
@@ -67,22 +68,6 @@ class LocalizingCertificate:
 
 CERTIFIED_PSD = "certified_psd"
 REFUTED = "refuted"
-
-
-def localizing_matrix(f: FreeSeries, k: int, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
-    """The truncated x_k-localizing matrix (c_{I* x_k J})_{I,J}, |I|,|J| <= L."""
-    if not 1 <= k <= f.d:
-        raise ValueError(f"letter k={k} is outside 1..{f.d}")
-    order = W.enumerate_words(f.d, L, budget=budget)
-    count = len(order)
-    M = np.zeros((count, count), dtype=np.complex128)
-    for i, I in enumerate(order.words):
-        left = W.involute(I) + (k,)
-        for j, J in enumerate(order.words):
-            c = f.coeffs.get(left + J)
-            if c is not None:
-                M[i, j] = c
-    return M
 
 
 def certify_monotone(f: FreeSeries, L: int, tol: float = DEFAULT_PSD_TOL) -> LocalizingCertificate:
@@ -125,8 +110,8 @@ class HamburgerModel:
     """PSD square roots F_k of the localizing matrices at degree L.
 
     reconstruct(X, H) evaluates the factorized derivative
-    sum_k m_X* (F_k (x) I)(I (x) H_k)(F_k (x) I) m_X, which converges to
-    Df(X)[H] as L grows on decay-validated series.
+    sum_k sum_I T_I* H_k T_I with T_I = sum_J (F_k)_IJ X^J, which converges
+    to Df(X)[H] as L grows on decay-validated series.
     """
 
     degree: int
@@ -134,14 +119,17 @@ class HamburgerModel:
     certificate: LocalizingCertificate
 
     def reconstruct(self, X: MatrixTuple, H: MatrixTuple) -> np.ndarray:
-        m = monomial_vector(X, self.degree)
-        count = m.shape[0] // X.n
-        eye_n = np.eye(X.n)
-        eye_c = np.eye(count)
+        if not (len(self.factors) == X.d == H.d):
+            raise ValueError(
+                f"mismatched lengths: model d={len(self.factors)}, X d={X.d}, H d={H.d}"
+            )
+        if X.n != H.n:
+            raise ValueError(f"mismatched sizes: X is {X.n} x {X.n}, H is {H.n} x {H.n}")
+        stack = W.monomial_stack(X, W.enumerate_words(X.d, self.degree))
         acc = np.zeros((X.n, X.n), dtype=np.complex128)
         for F, Hk in zip(self.factors, H.mats):
-            S = np.kron(F, eye_n)
-            acc += m.conj().T @ S @ np.kron(eye_c, Hk) @ S @ m
+            T = np.tensordot(F, stack, axes=1)
+            acc += (T.conj().transpose(0, 2, 1) @ Hk @ T).sum(axis=0)
         return acc
 
 
@@ -191,12 +179,16 @@ class ChoiReport:
 def choi_at(f: FreeSeries, X: MatrixTuple, tol: float = DEFAULT_PSD_TOL) -> ChoiReport:
     """Choi/Kraus analysis of the per-coordinate derivative maps at X.
 
-    For each coordinate k, D_k(H) = Df(X)[H in slot k] and the Choi matrix
-    is C_k = sum_{p,q} E_pq (x) D_k(E_pq). If C_k is PSD, the Kraus
-    operators from its spectral decomposition reconstruct D_k as
-    sum_j V_j* H V_j; a negative eigenvalue reports failure of complete
-    positivity (local monotonicity fails at X).
+    For each coordinate k, D_k(H) = Df(X)[H in slot k] = sum_I left_I H T_I
+    (see :func:`pencil_contraction`), so the Choi matrix
+    C_k = sum_{p,q} E_pq (x) D_k(E_pq) has sum_I (left_I)_{ap} (T_I)_{qb}
+    at ((p, a), (q, b)). If C_k is PSD, the Kraus operators from its
+    spectral decomposition reconstruct D_k as sum_j V_j* H V_j; a negative
+    eigenvalue reports failure of complete positivity (local monotonicity
+    fails at X).
     """
+    if f.d != X.d:
+        raise ValueError(f"mismatched lengths: series d={f.d}, X d={X.d}")
     if not X.is_selfadjoint():
         raise DomainError("choi_at needs a self-adjoint tuple")
     if f.decay_rate is not None and f.d * X.max_norm() >= f.decay_rate:
@@ -205,19 +197,10 @@ def choi_at(f: FreeSeries, X: MatrixTuple, tol: float = DEFAULT_PSD_TOL) -> Choi
             f"(d * rho >= decay_rate {f.decay_rate:.3g})"
         )
     n = X.n
-    zero = np.zeros((n, n))
+    left, T = pencil_contraction(f, X)
     coords = []
     for k in range(1, f.d + 1):
-        images = {}
-        C = np.zeros((n * n, n * n), dtype=np.complex128)
-        for p in range(n):
-            for q in range(n):
-                E = np.zeros((n, n))
-                E[p, q] = 1.0
-                H = MatrixTuple(tuple(E if i == k - 1 else zero for i in range(f.d)))
-                D = derivative(f, X, H, method="block")
-                images[(p, q)] = D
-                C[p * n : (p + 1) * n, q * n : (q + 1) * n] = D
+        C = np.einsum("iap,iqb->paqb", left, T[k - 1], optimize=True).reshape(n * n, n * n)
         rep = psd_min_eig(C, tol)
         kraus: tuple[np.ndarray, ...] = ()
         residual = None
@@ -231,12 +214,14 @@ def choi_at(f: FreeSeries, X: MatrixTuple, tol: float = DEFAULT_PSD_TOL) -> Choi
                     break
                 ops.append(np.conj(np.sqrt(vals[j]) * vecs[:, j]).reshape(n, n))
             kraus = tuple(ops)
+            V = np.array(ops).reshape(-1, n * n)
+            rebuilt = V.conj().T @ V  # block (p, q) is sum_j V_j* E_pq V_j
             residual = 0.0
-            for (p, q), D in images.items():
-                E = np.zeros((n, n))
-                E[p, q] = 1.0
-                rebuilt = sum((V.conj().T @ E @ V for V in kraus), start=np.zeros((n, n), dtype=np.complex128))
-                residual = max(residual, spectral_norm(D - rebuilt) / (1 + spectral_norm(D)))
+            for p in range(n):
+                for q in range(n):
+                    D = C[p * n : (p + 1) * n, q * n : (q + 1) * n]
+                    R = rebuilt[p * n : (p + 1) * n, q * n : (q + 1) * n]
+                    residual = max(residual, spectral_norm(D - R) / (1 + spectral_norm(D)))
         coords.append(
             ChoiCoordinate(k=k, choi=C, report=rep, kraus=kraus, reconstruction_residual=residual)
         )

@@ -149,21 +149,38 @@ def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
 def monomial_vector(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
     """The stacked monomial vector m_X: block-row I is X^I in canonical order."""
     order = W.enumerate_words(X.d, L, budget=budget)
-    vals = W.eval_words(X, order.words)
-    return np.vstack([vals[w] for w in order.words])
+    return W.monomial_stack(X, order).reshape(-1, X.n)
 
 
-def _coefficient_pencil(f: FreeSeries, k: int, order: W.WordOrder) -> np.ndarray:
-    """Matrix (c_{I* x_k J})_{I,J} over the given word order."""
+def localizing_matrix(f: FreeSeries, k: int, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
+    """The truncated x_k-localizing matrix (c_{I* x_k J})_{I,J}, |I|,|J| <= L."""
+    if not 1 <= k <= f.d:
+        raise ValueError(f"letter k={k} is outside 1..{f.d}")
+    order = W.enumerate_words(f.d, L, budget=budget)
     count = len(order)
-    B = np.zeros((count, count), dtype=np.complex128)
+    M = np.zeros((count, count), dtype=np.complex128)
     for i, I in enumerate(order.words):
         left = W.involute(I) + (k,)
         for j, J in enumerate(order.words):
             c = f.coeffs.get(left + J)
             if c is not None:
-                B[i, j] = c
-    return B
+                M[i, j] = c
+    return M
+
+
+def pencil_contraction(f: FreeSeries, X: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
+    """left_I = X^{I*} and T[k-1, I] = sum_J c_{I* x_k J} X^J over |I|, |J| < degree.
+
+    Contracts each localizing pencil with the monomial stack at X, so that
+    Df(X)[H] = sum_k sum_I left_I H_k T[k-1, I].
+    """
+    order = W.enumerate_words(X.d, max(f.degree - 1, 0))
+    stack = W.monomial_stack(X, order)
+    left = stack[[order.position(W.involute(w)) for w in order.words]]
+    T = np.stack(
+        [np.tensordot(localizing_matrix(f, k, order.degree), stack, axes=1) for k in range(1, f.d + 1)]
+    )
+    return left, T
 
 
 def derivative(
@@ -179,8 +196,8 @@ def derivative(
     - block: evaluate f at the 2n x 2n tuple [[X_i, H_i], [0, X_i]] and read
       the upper-right n x n corner;
     - localizing: Df(X)[H] = sum_k sum_{I,J} c_{I* x_k J} X^{I*} H_k X^J,
-      the coefficient-pencil formula (on self-adjoint tuples the left factor
-      X^{I*} is (X^I)*, the adjoint of the monomial-vector block);
+      the coefficient-pencil formula, contracted as sum_k sum_I X^{I*} H_k T_I
+      with T_I = sum_J c_{I* x_k J} X^J (see :func:`pencil_contraction`);
     - fd: central difference (f(X + tH) - f(X - tH)) / 2t, with optional
       Richardson refinement.
 
@@ -207,18 +224,8 @@ def derivative(
                 "formula is only proven on the small polydisk",
                 stacklevel=2,
             )
-        Lw = max(f.degree - 1, 0)
-        order = W.enumerate_words(X.d, Lw)
-        vals = W.eval_words(X, order.words)
-        m = np.vstack([vals[w] for w in order.words])
-        m_left = np.hstack([vals[W.involute(w)] for w in order.words])
-        acc = np.zeros((X.n, X.n), dtype=np.complex128)
-        for k in range(1, f.d + 1):
-            B = _coefficient_pencil(f, k, order)
-            if not B.any():
-                continue
-            acc += m_left @ np.kron(B, H.mats[k - 1]) @ m
-        return acc
+        left, T = pencil_contraction(f, X)
+        return sum((left @ Hk @ Tk).sum(axis=0) for Hk, Tk in zip(H.mats, T))
     if method == FD:
         if not fd_step > 0:
             raise ValueError("fd_step must be positive")

@@ -87,11 +87,27 @@ def eval_word(X: MatrixTuple, w: Word) -> np.ndarray:
     return out
 
 
-def eval_words(X: MatrixTuple, words) -> dict[Word, np.ndarray]:
-    """Values X^w for many words at once, sharing suffix products.
+def monomial_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
+    """X^I for every word I of the order, as a (count, n, n) array.
 
-    The cache is keyed by suffix (X^{x_k w} = X_k X^w needs X^w), so a full
-    graded enumeration costs one multiplication per word.
+    Graded-lex order lists the words of length l + 1 as x_k w, k major, so
+    each level is one batched product X_k @ X^w over all letters k and all
+    words w one shorter.
+    """
+    if X.d != order.d:
+        raise ValueError(f"word order in {order.d} letters evaluated at a {X.d}-tuple")
+    mats = np.stack(X.mats)[:, None]
+    levels = [np.eye(X.n, dtype=np.complex128)[None]]
+    for _ in range(order.degree):
+        levels.append((mats @ levels[-1]).reshape(-1, X.n, X.n))
+    return np.concatenate(levels)
+
+
+def eval_words(X: MatrixTuple, words) -> dict[Word, np.ndarray]:
+    """Values X^w for a sparse or deep set of words, sharing suffix products.
+
+    The cache is keyed by suffix (X^{x_k w} = X_k X^w needs X^w), so only the
+    requested words and their suffixes are multiplied out.
     """
     vals: dict[Word, np.ndarray] = {EMPTY: np.eye(X.n, dtype=np.complex128)}
 

@@ -141,6 +141,18 @@ def test_reconstruction_matches_resolvent_closed_form():
     assert abs(got[0, 0].imag) < 1e-12
 
 
+def test_reconstruction_rejects_mismatched_tuples(d2res_series):
+    model = hamburger_factor(d2res_series, 2)
+    X = scaled_hermitian(2, 2, 0.2, seed=8)
+    one_letter = MatrixTuple((np.eye(2),))
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        model.reconstruct(X, one_letter)
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        model.reconstruct(scaled_hermitian(2, 1, 0.2, seed=8), one_letter)
+    with pytest.raises(ValueError, match="mismatched sizes"):
+        model.reconstruct(X, sample("psd_direction", 3, 2, seed=9))
+
+
 def test_reconstruction_is_selfadjoint_on_psd_directions(d2res_series):
     X = scaled_hermitian(2, 2, 0.2, seed=8)
     H = sample("psd_direction", 2, 2, seed=9)
@@ -204,6 +216,11 @@ def test_two_letter_fixture_choi_is_cp(d2res_series):
     assert rep.all_cp
     assert rep.min_eig >= -1e-8
     assert all(c.reconstruction_residual <= 1e-8 for c in rep.coordinates)
+
+
+def test_choi_rejects_mismatched_lengths(d2res_series):
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        choi_at(d2res_series, scaled_hermitian(2, 1, 0.1, seed=1))
 
 
 def test_choi_domain_gates(halfres_series):

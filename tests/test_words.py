@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freepick.matcore import BudgetError, MatrixTuple, haar_unitary, direct_sum, sample
@@ -11,6 +11,7 @@ from freepick.words import (
     eval_word,
     eval_words,
     involute,
+    monomial_stack,
     word_count,
 )
 
@@ -143,3 +144,27 @@ def test_eval_word_alphabet_mismatch():
     X = MatrixTuple((np.eye(2),))
     with pytest.raises(ValueError):
         eval_word(X, (2,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_monomial_stack_equals_suffix_sharing_values(d, L, n, seed):
+    rng = np.random.default_rng(seed)
+    X = MatrixTuple(
+        tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d))
+    )
+    order = enumerate_words(d, L)
+    values = eval_words(X, order.words)
+    stack = monomial_stack(X, order)
+    assert np.array_equal(stack, np.stack([values[w] for w in order.words]))
+
+
+def test_monomial_stack_rejects_mismatched_order():
+    X = sample("hermitian_tuple", 2, 2, seed=3)
+    with pytest.raises(ValueError, match="3 letters"):
+        monomial_stack(X, enumerate_words(3, 2))
