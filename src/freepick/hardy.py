@@ -58,13 +58,14 @@ def szego_kernels(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> SzegoF
 
 
 def _coefficient_vector(frame: SzegoFrame, f: FreeSeries) -> np.ndarray:
+    if f.d != frame.X.d:
+        raise ValueError(f"series in {f.d} letters paired with a frame in {frame.X.d} letters")
     if f.degree > frame.degree:
         raise ValueError(
             f"series degree {f.degree} exceeds the frame degree {frame.degree}"
         )
     c = np.zeros(len(frame.order), dtype=np.complex128)
-    for w, coeff in f.coeffs.items():
-        c[frame.order.position(w)] = coeff
+    c[f.keys] = f.values
     return c
 
 

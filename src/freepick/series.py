@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from . import words as W
 from .matcore import MatrixTuple, direct_sum, sample, spectral_norm
 
 FD_STEP = 1e-5
+
+_BOOLS = {bool, np.bool_}
 
 BLOCK = "block"
 LOCALIZING = "localizing"
@@ -52,7 +55,10 @@ class FreeSeries:
             raise ValueError(f"need d >= 1 and degree >= 0, got d={self.d}, degree={self.degree}")
         clean: dict[W.Word, complex] = {}
         for w, c in self.coeffs.items():
-            w = tuple(int(x) for x in w)
+            letters = tuple(map(int, w))
+            if letters != tuple(w) or not _BOOLS.isdisjoint(map(type, w)):
+                raise ValueError(f"word {list(w)} has a letter that is not an integer")
+            w = letters
             W.check_alphabet(w, self.d)
             if len(w) > self.degree:
                 raise ValueError(f"word {list(w)} is longer than the degree {self.degree}")
@@ -66,6 +72,72 @@ class FreeSeries:
 
     def coeff(self, w: W.Word) -> complex:
         return self.coeffs.get(w, 0.0 + 0.0j)
+
+    def _suffix_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The right-aligned letter array of the stored words (insertion
+        order), the column of each word's first letter, and the positions of
+        every suffix of each w and of each w*. Not cached: only the keys and
+        the split list derived from these tables are kept."""
+        width = max(map(len, self.coeffs), default=0)
+        letters = W.letter_array(self.coeffs, width)
+        start = width - np.count_nonzero(letters, axis=1)
+        forward = W.suffix_positions(self.d, letters)
+        backward = W.suffix_positions(self.d, W.reversed_letters(letters))
+        return letters, start, forward, backward
+
+    @cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        _, start, forward, backward = self._suffix_tables()
+        rows = np.arange(len(start))
+        return forward[rows, start], backward[rows, start]
+
+    @property
+    def keys(self) -> np.ndarray:
+        """pos(w) of every stored word, in insertion order; built on first use."""
+        return self._keys[0]
+
+    @property
+    def reversed_keys(self) -> np.ndarray:
+        """pos(w*) of every stored word, in insertion order; built on first use."""
+        return self._keys[1]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """c_w of every stored word, in insertion order."""
+        return np.fromiter(self.coeffs.values(), np.complex128, count=len(self.coeffs))
+
+    @cached_property
+    def splits(self) -> SplitList:
+        """Every stored word w split as I* x_k J at each of its letters."""
+        letters, start, forward, backward = self._suffix_tables()
+        width = letters.shape[1]
+        row, col = np.nonzero(letters)
+        len_i = col - start[row]  # I* = w[:len_i], so I = w*[|w| - len_i:]
+        return SplitList(
+            letter=letters[row, col],
+            pos_i=backward[row, width - len_i],
+            len_i=len_i,
+            pos_j=forward[row, col + 1],
+            len_j=width - 1 - col,
+            coeff=self.values[row],
+        )
+
+
+class SplitList(NamedTuple):
+    """One row per stored word w and letter position: w = I* x_k J.
+
+    Row r has k = letter[r], pos I, |I|, pos J, |J| and c_w. Each (I, k, J)
+    names one word, so no two rows of one letter share a cell (pos I, pos J).
+    """
+
+    letter: np.ndarray
+    pos_i: np.ndarray
+    len_i: np.ndarray
+    pos_j: np.ndarray
+    len_j: np.ndarray
+    coeff: np.ndarray
+
+
 
 
 @dataclass(frozen=True)
@@ -81,18 +153,28 @@ class SeriesDiagnostics:
 
 
 def validate(f: FreeSeries) -> SeriesDiagnostics:
-    """Check the real_free symmetry and the decay bound, without raising."""
+    """Check the real_free symmetry and the decay bound, without raising.
+
+    The symmetry scan looks up every reversed key among the sorted keys in
+    one searchsorted pass. Each pair {w, w*} is judged once, at its
+    first-inserted word w, by |c_{w*} - conj(c_w)| > 1e-12 max(1, |c_w|)
+    (c_{w*} = 0 when w* is not stored), and is reported at min(w, w*).
+    """
     sym: list[tuple[W.Word, float]] = []
-    if f.real_free:
-        seen = set()
-        for w, c in f.coeffs.items():
-            pair = (w, W.involute(w))
-            if pair[1] in seen or pair[0] in seen:
-                continue
-            seen.update(pair)
-            gap = abs(f.coeff(W.involute(w)) - np.conj(c))
-            if gap > 1e-12 * max(1.0, abs(c)):
-                sym.append((min(pair), float(gap)))
+    if f.real_free and f.coeffs:
+        keys, rkeys, vals = f.keys, f.reversed_keys, f.values
+        by_key = np.argsort(keys)
+        at = np.minimum(np.searchsorted(keys, rkeys, sorter=by_key), len(keys) - 1)
+        partner = np.where(keys[by_key[at]] == rkeys, by_key[at], -1)
+        first = (partner < 0) | (partner >= np.arange(len(keys)))
+        mirror = np.where(partner >= 0, vals[partner], 0.0)
+        gap = np.abs(mirror - np.conj(vals))
+        bad = np.flatnonzero(first & (gap > 1e-12 * np.maximum(1.0, np.abs(vals))))
+        if bad.size:
+            words = list(f.coeffs)
+            for i in bad:
+                w = words[i] if keys[i] <= rkeys[i] else W.involute(words[i])
+                sym.append((w, float(gap[i])))
     decay: list[tuple[W.Word, float]] = []
     if f.decay_rate is not None:
         for w, c in f.coeffs.items():
@@ -153,18 +235,19 @@ def monomial_vector(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> np.n
 
 
 def localizing_matrix(f: FreeSeries, k: int, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
-    """The truncated x_k-localizing matrix (c_{I* x_k J})_{I,J}, |I|,|J| <= L."""
+    """The truncated x_k-localizing matrix (c_{I* x_k J})_{I,J}, |I|,|J| <= L.
+
+    Scattered from the series' split list: every stored word w = I* x_k J
+    with |I|, |J| <= L puts c_w at (pos I, pos J) in one fancy-index
+    assignment, and every other entry is 0.
+    """
     if not 1 <= k <= f.d:
         raise ValueError(f"letter k={k} is outside 1..{f.d}")
     order = W.enumerate_words(f.d, L, budget=budget)
-    count = len(order)
-    M = np.zeros((count, count), dtype=np.complex128)
-    for i, I in enumerate(order.words):
-        left = W.involute(I) + (k,)
-        for j, J in enumerate(order.words):
-            c = f.coeffs.get(left + J)
-            if c is not None:
-                M[i, j] = c
+    s = f.splits
+    pick = (s.letter == k) & (s.len_i <= L) & (s.len_j <= L)
+    M = np.zeros((len(order), len(order)), dtype=np.complex128)
+    M[s.pos_i[pick], s.pos_j[pick]] = s.coeff[pick]
     return M
 
 
@@ -176,7 +259,7 @@ def pencil_contraction(f: FreeSeries, X: MatrixTuple) -> tuple[np.ndarray, np.nd
     """
     order = W.enumerate_words(X.d, max(f.degree - 1, 0))
     stack = W.monomial_stack(X, order)
-    left = stack[[order.position(W.involute(w)) for w in order.words]]
+    left = stack[order.involution_positions()]
     T = np.stack(
         [np.tensordot(localizing_matrix(f, k, order.degree), stack, axes=1) for k in range(1, f.d + 1)]
     )

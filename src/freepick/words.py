@@ -4,12 +4,22 @@ A word is a tuple of 1-based letter indices; the empty tuple is the identity
 word e. The canonical enumeration is graded (degree-major) and lexicographic
 within each degree, with the empty word at position 0. This order is fixed
 globally so that word-indexed matrices are reproducible bit for bit.
+
+The position (integer key) of a word w = x_{w_1} ... x_{w_l} in that order is
+
+    pos(w) = offset(l) + sum_i (w_i - 1) d^(l - i),   offset(l) = word_count(d, l - 1),
+
+and :func:`suffix_positions` is the one routine that computes it. Keys are
+int64: they fit while word_count(d, degree) <= 2^63 - 1, which is degree 62
+for d = 2 and degree 39 for d = 3; for d = 1, where pos(w) = |w|, no storable
+degree reaches the limit. Past it the key build raises ValueError instead of
+wrapping.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +28,8 @@ from .matcore import BudgetError, MatrixTuple
 Word = tuple[int, ...]
 
 WORD_BUDGET = 100_000
+
+KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 EMPTY: Word = ()
 
@@ -36,16 +48,28 @@ class WordOrder:
     d: int
     degree: int
     words: tuple[Word, ...]
-    _index: dict = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.words)
 
     def position(self, w: Word) -> int:
-        try:
-            return self._index[w]
-        except KeyError:
-            raise KeyError(f"word {list(w)} is not in the order (d={self.d}, degree={self.degree})") from None
+        alphabet = range(1, self.d + 1)
+        if len(w) > self.degree or not all(x in alphabet for x in w):
+            raise KeyError(f"word {list(w)} is not in the order (d={self.d}, degree={self.degree})")
+        return int(suffix_positions(self.d, letter_array([w], len(w)))[0, 0])
+
+    def involution_positions(self) -> np.ndarray:
+        """pos(w*) for every word w of the order, in order.
+
+        Level l lists the base-d digit strings of 0..d^l - 1, most significant
+        first; read least significant first they are the involutes, so the
+        letters come from arange arithmetic rather than from the word tuples.
+        """
+        levels = []
+        for length in range(self.degree + 1):
+            digits = np.arange(self.d**length)[:, None] // self.d ** np.arange(length) % self.d
+            levels.append(suffix_positions(self.d, digits + 1)[:, 0])
+        return np.concatenate(levels)
 
 
 def enumerate_words(d: int, L: int, budget: int = WORD_BUDGET) -> WordOrder:
@@ -64,7 +88,58 @@ def enumerate_words(d: int, L: int, budget: int = WORD_BUDGET) -> WordOrder:
     words: list[Word] = []
     for length in range(L + 1):
         words.extend(itertools.product(range(1, d + 1), repeat=length))
-    return WordOrder(d=d, degree=L, words=tuple(words), _index={w: i for i, w in enumerate(words)})
+    return WordOrder(d=d, degree=L, words=tuple(words))
+
+
+def letter_array(words, width: int) -> np.ndarray:
+    """The words as rows of an (m, width) int64 array, right-aligned.
+
+    A row holds its word in its last |w| columns and 0 before them. Letters
+    must already be ints, and no word may be longer than width.
+    """
+    words = list(words)
+    lengths = np.fromiter(map(len, words), np.int64, count=len(words))
+    flat = np.fromiter(itertools.chain.from_iterable(words), np.int64, count=int(lengths.sum()))
+    out = np.zeros((len(words), width), dtype=np.int64)
+    out[np.arange(width) >= width - lengths[:, None]] = flat
+    return out
+
+
+def reversed_letters(letters: np.ndarray) -> np.ndarray:
+    """The involutes w* of the rows of a right-aligned letter array, right-aligned.
+
+    Reading every letter backwards reverses each word and the row order, so
+    the letters land in the row-flipped mask of the input.
+    """
+    filled = letters > 0
+    out = np.zeros_like(letters)
+    out[filled[::-1]] = letters[filled][::-1]
+    return out[::-1]
+
+
+def suffix_positions(d: int, letters: np.ndarray) -> np.ndarray:
+    """pos of every suffix of every row of a right-aligned letter array.
+
+    Entry (r, c) of the (m, width + 1) int64 result is the position of the
+    word in columns c.. of row r, for every c from the row's first letter to
+    width (the empty word, position 0). Entries left of a row's first letter
+    mean nothing. A word of length l thus has pos(w) at column width - l.
+
+    :raises ValueError: when word_count(d, width) passes the int64 range.
+    """
+    m, width = letters.shape
+    count = word_count(d, width)
+    if count > KEY_LIMIT:
+        raise ValueError(
+            f"word keys overflow int64 for d={d} at degree {width} "
+            f"({count} words > {KEY_LIMIT})"
+        )
+    weights = np.array([d ** (width - 1 - c) for c in range(width)], dtype=np.int64)
+    offsets = np.array([word_count(d, width - c - 1) for c in range(width + 1)], dtype=np.int64)
+    out = np.zeros((m, width + 1), dtype=np.int64)
+    digits = np.maximum(letters - 1, 0) * weights
+    out[:, :width] = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1]
+    return out + offsets
 
 
 def involute(w: Word) -> Word:

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import numpy as np
@@ -7,6 +8,16 @@ from freepick.jsonio import parse_series, parse_tuple
 from freepick.matcore import MatrixTuple
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """The CLI and script tests start child interpreters; pytest's
+    ``pythonpath`` setting reaches only this one, so export src too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -123,6 +123,13 @@ def test_degree_overflow_rejected():
         reproduce_check(frame, random_series(1, 3, seed=8))
 
 
+def test_letter_count_mismatch_rejected():
+    # a one-letter series' keys would land on other words of a two-letter frame
+    frame = szego_kernels(sample("hermitian_tuple", 2, 2, seed=3), 3)
+    with pytest.raises(ValueError, match="1 letters paired with a frame in 2 letters"):
+        reproduce_check(frame, random_series(1, 3, seed=8))
+
+
 # ----------------------------------------------------------------------- gram
 
 

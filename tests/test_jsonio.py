@@ -87,6 +87,17 @@ def test_symmetry_checked_when_real_free_claimed(tmp_path):
         parse_series(write(tmp_path, "s.json", payload))
 
 
+def test_word_keys_past_int64_are_a_schema_error(tmp_path):
+    payload = {
+        "d": 2,
+        "degree": 64,
+        "real_free": True,
+        "terms": [{"word": [1] * 64, "re": 1.0}],
+    }
+    with pytest.raises(SchemaError, match=r"^\$: word keys overflow int64 for d=2 at degree 64"):
+        parse_series(write(tmp_path, "s.json", payload))
+
+
 def test_ragged_matrix_names_row(tmp_path):
     payload = {"d": 1, "n": 2, "matrices": [[[1, 0], [1]]]}
     with pytest.raises(SchemaError, match=r"\$\.matrices\[0\]\[1\]"):

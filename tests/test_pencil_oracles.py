@@ -1,4 +1,4 @@
-"""The pencil contractions against the dense kron and block routes they replace.
+"""The pencil and its contractions against the routes they replace.
 
 The localizing derivative, the Hamburger reconstruction and the Choi matrix
 are computed from the monomial stack and the coefficient pencil by
@@ -7,6 +7,12 @@ formulas: m_left (B_k (x) H_k) m for the derivative,
 m* (F_k (x) I)(I (x) H_k)(F_k (x) I) m for the reconstruction and one block
 derivative per matrix unit E_pq for the Choi matrix, each with monomials
 from the suffix-sharing word evaluator.
+
+The pencil itself is scattered from integer word keys, and validate's
+symmetry scan is one searchsorted pass over keys. Their oracles are the dict
+loops they replace: one coefficient lookup per pencil cell, and a walk over
+the stored words that judges each pair {w, w*} once. Both must agree
+exactly, not to a tolerance.
 """
 
 import numpy as np
@@ -15,10 +21,44 @@ from hypothesis import strategies as st
 
 from freepick.matcore import MatrixTuple, sample
 from freepick.monotone import HamburgerModel, choi_at, hamburger_factor
-from freepick.series import FreeSeries, derivative, localizing_matrix
-from freepick.words import enumerate_words, eval_words, involute
+from freepick.series import FreeSeries, SeriesDiagnostics, derivative, localizing_matrix, validate
+from freepick.words import enumerate_words, eval_words, involute, word_count
 
 RTOL = 1e-12
+
+
+def dict_localizing_matrix(f: FreeSeries, k: int, L: int) -> np.ndarray:
+    order = enumerate_words(f.d, L)
+    count = len(order)
+    M = np.zeros((count, count), dtype=np.complex128)
+    for i, I in enumerate(order.words):
+        left = involute(I) + (k,)
+        for j, J in enumerate(order.words):
+            c = f.coeffs.get(left + J)
+            if c is not None:
+                M[i, j] = c
+    return M
+
+
+def dict_validate(f: FreeSeries) -> SeriesDiagnostics:
+    sym = []
+    if f.real_free:
+        seen = set()
+        for w, c in f.coeffs.items():
+            pair = (w, involute(w))
+            if pair[1] in seen or pair[0] in seen:
+                continue
+            seen.update(pair)
+            gap = abs(f.coeff(involute(w)) - np.conj(c))
+            if gap > 1e-12 * max(1.0, abs(c)):
+                sym.append((min(pair), float(gap)))
+    decay = []
+    if f.decay_rate is not None:
+        for w, c in f.coeffs.items():
+            bound = f.decay_rate ** (-len(w))
+            if abs(c) > bound * (1 + 1e-12):
+                decay.append((w, float(abs(c) - bound)))
+    return SeriesDiagnostics(tuple(sorted(sym)), tuple(sorted(decay)))
 
 
 def kron_localizing_derivative(f: FreeSeries, X: MatrixTuple, H: MatrixTuple) -> np.ndarray:
@@ -100,6 +140,33 @@ def hermitian_factors(d: int, L: int, rng: np.random.Generator) -> tuple[np.ndar
     return tuple(out)
 
 
+def random_dense(d: int, degree: int, rng: np.random.Generator) -> FreeSeries:
+    coeffs = {
+        w: complex(rng.standard_normal(), rng.standard_normal())
+        for w in enumerate_words(d, degree).words
+    }
+    return FreeSeries(d=d, degree=degree, coeffs=coeffs)
+
+
+def deep_sparse(rng: np.random.Generator) -> FreeSeries:
+    """Like the benchmark's deep series: 30 random words up to degree 24,
+    their reversals and (1,)^24, in two letters."""
+    words = [tuple(int(x) for x in rng.integers(1, 3, size=int(rng.integers(0, 25)))) for _ in range(30)]
+    coeffs = {}
+    for w in words + [(1,) * 24]:
+        if w not in coeffs:
+            c = complex(rng.standard_normal(), 0.0 if involute(w) == w else rng.standard_normal())
+            coeffs[w] = c
+            coeffs[involute(w)] = c.conjugate()
+    return FreeSeries(d=2, degree=24, coeffs=coeffs, real_free=True)
+
+
+def assert_pencils_equal(f: FreeSeries, levels) -> None:
+    for L in levels:
+        for k in range(1, f.d + 1):
+            assert np.array_equal(localizing_matrix(f, k, L), dict_localizing_matrix(f, k, L)), (k, L)
+
+
 def seeded_cases(halfres, d2res):
     rng = np.random.default_rng(2024)
     return [
@@ -111,6 +178,59 @@ def seeded_cases(halfres, d2res):
 
 
 # ------------------------------------------------------------ seeded checks
+
+
+def test_pencil_matches_dict_loop_on_fixtures(x3_series, halfres_series, d2res_series):
+    for f in (x3_series, halfres_series, d2res_series):
+        assert_pencils_equal(f, range(f.degree + 2))
+
+
+def test_pencil_matches_dict_loop_on_dense_series():
+    rng = np.random.default_rng(11)
+    for d, degree in ((1, 12), (2, 6), (3, 4)):
+        f = random_dense(d, degree, rng)
+        assert_pencils_equal(f, range(degree + 2))
+
+
+def test_pencil_matches_dict_loop_on_deep_sparse_series():
+    # the dict loop costs count^2 lookups per letter, so L stops at 9
+    # (1023 words); longer words still cross the |I|, |J| <= L filter here
+    f = deep_sparse(np.random.default_rng(12))
+    assert max(map(len, f.coeffs)) == 24
+    assert_pencils_equal(f, range(10))
+
+
+def test_validate_matches_dict_scan_on_injected_violations():
+    c = 0.3 - 0.7j
+    coeffs = {
+        (): 2.0 + 1e-3j,  # palindrome with an imaginary part
+        (1, 2, 1): 1.0 + 0.5j,  # palindrome
+        (2, 2): 4.0,  # clean palindrome
+        (2, 1, 1): 0.25 + 0.25j,  # reversal (1, 1, 2) missing
+        (1, 2): c,  # clean pair
+        (2, 1): c.conjugate(),
+        (2, 2, 1): 5.0 + 5.0j,  # gap just under the threshold
+        (1, 2, 2): 5.0 - 5.0j + 0.9e-12 * abs(5 + 5j),
+        (1, 1, 1, 2): 5.0 + 5.0j,  # gap just over the threshold
+        (2, 1, 1, 1): 5.0 - 5.0j + 1.1e-12 * abs(5 + 5j),
+        (1, 2, 2, 2): 0.5e-12j,  # gap 0.9e-12 passes: the threshold floor is 1e-12
+        (2, 2, 2, 1): 0.4e-12j,
+        (2, 1, 2, 2): 1e-3,  # reversal (2, 2, 1, 2) inserted second, unequal
+        (2, 2, 1, 2): 2e-3,
+    }
+    f = FreeSeries(d=2, degree=4, coeffs=coeffs, real_free=True, decay_rate=1.5)
+    got = validate(f)
+    assert got == dict_validate(f)
+    flagged = [w for w, _ in got.symmetry_violations]
+    assert flagged == [(), (1, 1, 1, 2), (1, 1, 2), (1, 2, 1), (2, 1, 2, 2)]
+
+
+def test_validate_matches_dict_scan_on_seeded_series(halfres_series, d2res_series):
+    rng = np.random.default_rng(13)
+    cases = [halfres_series, d2res_series, deep_sparse(rng), random_real_free(3, 4, rng)]
+    cases.append(FreeSeries(d=2, degree=3, coeffs={}, real_free=True))
+    for f in cases:
+        assert validate(f) == dict_validate(f)
 
 
 def test_localizing_derivative_matches_kron_formula(halfres_series, d2res_series):
@@ -187,3 +307,39 @@ def test_choi_oracle_hypothesis(d, L, n, seed):
     rep = choi_at(f, X)
     for coord in rep.coordinates:
         assert_rel_close(coord.choi, block_choi(f, X, coord.k))
+
+
+def cap_level(d: int, degree: int) -> int:
+    """Largest L <= degree + 1 with at most 130 words, so the dict loop stays cheap."""
+    L = degree + 1
+    while word_count(d, L) > 130:
+        L -= 1
+    return L
+
+
+@st.composite
+def sparse_series(draw, real_free=False):
+    d = draw(st.integers(min_value=1, max_value=3))
+    degree = draw(st.integers(min_value=0, max_value=8))
+    word = st.lists(st.integers(min_value=1, max_value=d), max_size=degree).map(tuple)
+    coeff = st.sampled_from([0.0, 1.0, -2.5, 0.5j, 0.25 - 0.75j, 3e-13, 1e-12j])
+    coeffs = draw(st.dictionaries(word, coeff, max_size=24))
+    return FreeSeries(d=d, degree=degree, coeffs=coeffs, real_free=real_free)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_series())
+def test_pencil_oracle_hypothesis(f):
+    assert_pencils_equal(f, range(cap_level(f.d, f.degree) + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_series(real_free=True), st.data())
+def test_validate_oracle_hypothesis(f, data):
+    # make about half of the pairs symmetric, then nudge some of them
+    coeffs = dict(f.coeffs)
+    for w in list(coeffs):
+        if data.draw(st.booleans()):
+            coeffs[involute(w)] = np.conj(coeffs[w]) * data.draw(st.sampled_from([1.0, 1.0 + 5e-13, 1.0 + 2e-12]))
+    g = FreeSeries(d=f.d, degree=f.degree, coeffs=coeffs, real_free=True)
+    assert validate(g) == dict_validate(g)

@@ -1,6 +1,5 @@
 """Smoke-run the example scripts so the library names they import stay valid."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -20,11 +19,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
     ids=lambda argv: argv[0],
 )
 def test_script_runs(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        env=env,
         capture_output=True,
         text=True,
         timeout=300,

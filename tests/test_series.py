@@ -53,6 +53,34 @@ def test_letter_out_of_alphabet_rejected():
         FreeSeries(d=1, degree=2, coeffs={(2,): 1.0})
 
 
+def test_non_integer_letter_rejected():
+    # int() used to truncate 1.9 to 1 and store the coefficient at (2, 1)
+    for word in ((2, 1.9), (True,), ("1",)):
+        with pytest.raises(ValueError, match="not an integer"):
+            FreeSeries(d=2, degree=2, coeffs={word: 2.0})
+    f = FreeSeries(d=2, degree=2, coeffs={(2, 1.0): 2.0, (np.int64(1),): 1.0})
+    assert f.coeffs == {(2, 1): 2.0, (1,): 1.0}
+
+
+def test_word_keys_past_int64_raise_lazily():
+    # word_count(2, 64) passes int64; one word keeps the test small
+    f = FreeSeries(d=2, degree=64, coeffs={(1,) * 64: 1.0}, real_free=True)
+    X = MatrixTuple((np.array([[0.5]]), np.array([[0.25]])))
+    assert eval_series(f, X).value[0, 0] == pytest.approx(0.5**64)
+    with pytest.raises(ValueError, match="d=2 at degree 64"):
+        validate(f)
+
+
+def test_word_keys_at_the_int64_edge():
+    top = FreeSeries(d=2, degree=62, coeffs={(2,) * 62: 1.0})
+    assert int(top.keys[0]) == 2**63 - 2
+    assert int(FreeSeries(d=3, degree=39, coeffs={(3,) * 39: 1.0}).keys[0]) == 3**40 // 2 - 1
+    assert int(FreeSeries(d=1, degree=5000, coeffs={(1,) * 5000: 1.0}).keys[0]) == 5000
+    for d, degree in ((2, 63), (3, 40)):
+        with pytest.raises(ValueError, match="overflow int64"):
+            FreeSeries(d=d, degree=degree, coeffs={(1,) * degree: 1.0}).keys
+
+
 def test_nonfinite_coefficient_rejected():
     with pytest.raises(ValueError, match="not finite"):
         FreeSeries(d=1, degree=1, coeffs={(1,): float("nan")})

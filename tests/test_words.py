@@ -11,7 +11,10 @@ from freepick.words import (
     eval_word,
     eval_words,
     involute,
+    letter_array,
     monomial_stack,
+    reversed_letters,
+    suffix_positions,
     word_count,
 )
 
@@ -40,8 +43,24 @@ def test_empty_word_is_position_zero():
 
 def test_position_unknown_word():
     order = enumerate_words(2, 1)
-    with pytest.raises(KeyError):
-        order.position((1, 1))
+    for w in ((1, 1), (3,), (0,), (1.5,)):
+        with pytest.raises(KeyError, match=r"is not in the order \(d=2, degree=1\)"):
+            order.position(w)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
+def test_keys_are_graded_lex_positions(d, L):
+    order = enumerate_words(d, L)
+    letters = letter_array(order.words, L)
+    forward = suffix_positions(d, letters)
+    backward = suffix_positions(d, reversed_letters(letters))
+    index = {w: i for i, w in enumerate(order.words)}
+    for r, w in enumerate(order.words):
+        start = L - len(w)
+        assert [forward[r, start + q] for q in range(len(w) + 1)] == [index[w[q:]] for q in range(len(w) + 1)]
+        assert backward[r, start] == index[involute(w)]
+        assert order.position(w) == r
+    assert list(order.involution_positions()) == [index[involute(w)] for w in order.words]
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=5))
