@@ -112,7 +112,7 @@ def min_norm_interpolate(
             f"normal-equation residual {residual:.3e}"
         )
     c = frame.K @ g
-    coeffs = {w: c[idx] for idx, w in enumerate(frame.order.words) if c[idx] != 0.0}
+    coeffs = {w: v for w, v in zip(frame.order.words, c.tolist()) if v != 0.0}
     return FreeSeries(d=X.d, degree=L, coeffs=coeffs)
 
 

@@ -9,6 +9,7 @@ fixed radius convention.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,7 +64,7 @@ class FreeSeries:
             if len(w) > self.degree:
                 raise ValueError(f"word {list(w)} is longer than the degree {self.degree}")
             c = complex(c)
-            if not (np.isfinite(c.real) and np.isfinite(c.imag)):
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise ValueError(f"coefficient of {list(w)} is not finite")
             clean[w] = c
         object.__setattr__(self, "coeffs", clean)
@@ -121,6 +122,96 @@ class FreeSeries:
             len_j=width - 1 - col,
             coeff=self.values[row],
         )
+
+    @cached_property
+    def suffix_trie(self) -> tuple[TrieLevel, ...]:
+        """The suffixes of the stored words as a trie, one TrieLevel per depth.
+
+        Depth l holds every distinct suffix s of length l (depth 0 is the
+        empty word, the root). The parent of x_k s is s. Sorting the rows of
+        the right-aligned letter array by their words read right to left
+        lists each depth parent-major and then by letter, so node ids are the
+        dense ranks of parent_id * d + letter, and a stored word s comes
+        first among the rows that end in s. Built from the letters, not from
+        the int64 word keys, so it has no degree limit.
+        """
+        root = self.coeffs.get(W.EMPTY)
+        root_coeff = None if root is None else np.array([root])
+        levels = [TrieLevel(size=1, coeff=root_coeff, letter=0, parent=None, first=None, more=())]
+        width = max(map(len, self.coeffs), default=0)
+        if width == 0:
+            return tuple(levels)
+        letters = W.letter_array(self.coeffs, width)
+        order = np.lexsort(letters.T)
+        letters = letters[order]
+        length = np.count_nonzero(letters, axis=1)
+        # column l stands for depth l; opens[r, l]: row r is the first row
+        # whose suffix of length l is its node (only row 0 at the root)
+        opens = np.zeros((len(order), width + 1), dtype=bool)
+        opens[0] = True
+        opens[1:, 1:] = np.logical_or.accumulate(letters[1:, ::-1] != letters[:-1, ::-1], axis=1)
+        opens &= length[:, None] >= np.arange(width + 1)
+        node_of = np.cumsum(opens, axis=0) - 1
+        depth, row = np.nonzero(opens[:, 1:].T)
+        depth += 1
+        stored = length[row] == depth
+        coeff = np.where(stored, self.values[order][row], 0)
+        letter = letters[row, width - depth] - 1
+        parent = node_of[row, depth - 1]
+        # siblings (nodes of one depth with one parent) form a run; rank counts within it
+        starts = np.ones(len(row), dtype=bool)
+        starts[1:] = (parent[1:] != parent[:-1]) | (depth[1:] != depth[:-1])
+        run = np.cumsum(starts) - 1
+        rank = np.arange(len(row)) - np.flatnonzero(starts)[run]
+        size = np.bincount(depth)
+        offs = np.cumsum(size) - size
+        runs = np.bincount(depth[starts]).tolist()
+        low = [0] + np.minimum.reduceat(letter, offs[1:]).tolist()
+        high = [0] + np.maximum.reduceat(letter, offs[1:]).tolist()
+        held = np.bincount(depth[stored], minlength=width + 1).tolist()
+        size, offs = [1] + size[1:].tolist(), offs.tolist() + [len(row)]
+        for l in range(1, width + 1):
+            at = slice(offs[l], offs[l + 1])
+            first, more = None, []
+            if runs[l] < size[l]:
+                first = np.flatnonzero(starts[at])
+                for j in range(1, rank[at].max() + 1):
+                    nodes = np.flatnonzero(rank[at] == j)
+                    more.append((None if len(nodes) == runs[l] else run[at][nodes] - run[offs[l]], nodes))
+            levels.append(
+                TrieLevel(
+                    size=size[l],
+                    coeff=coeff[at] if held[l] else None,
+                    letter=low[l] if low[l] == high[l] else letter[at],
+                    parent=None if runs[l] == size[l - 1] else parent[at][starts[at]],
+                    first=first,
+                    more=tuple(more),
+                )
+            )
+        return tuple(levels)
+
+
+class TrieLevel(NamedTuple):
+    """The nodes of one depth of a series' suffix trie, and how they fold
+    into their parents one depth up (see :func:`eval_series`).
+
+    :param size: the number of nodes.
+    :param coeff: c_s of each node s, 0 where s is not a stored word; None
+        when no node is.
+    :param letter: k - 1 of each node x_k t, or one int when all agree.
+    :param parent: the parent of each run of siblings; None when every node
+        one depth up has children, so run i belongs to node i.
+    :param first: the first node of each run; None when every run is one node.
+    :param more: per sibling rank j >= 1, (runs with a j-th sibling, or None
+        for all of them; those siblings).
+    """
+
+    size: int
+    coeff: np.ndarray | None
+    letter: np.ndarray | int
+    parent: np.ndarray | None
+    first: np.ndarray | None
+    more: tuple[tuple[np.ndarray | None, np.ndarray], ...]
 
 
 class SplitList(NamedTuple):
@@ -217,15 +308,42 @@ def tail_bound(f: FreeSeries, X: MatrixTuple) -> float:
     return float(q ** (f.degree + 1) / (1 - q))
 
 
+def _add_scalars(U: np.ndarray, c: np.ndarray | None) -> None:
+    """U[i] += c[i] I in place. Every stack here is a fresh C-contiguous
+    array, so the reshape is a view of U."""
+    if c is not None:
+        U.reshape(len(U), -1)[:, :: U.shape[-1] + 1] += c[:, None]
+
+
 def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
-    """f(X) = sum_{|I| <= degree} c_I X^I with the geometric tail bound."""
+    """f(X) = sum_{|I| <= degree} c_I X^I with the geometric tail bound.
+
+    A right Horner pass over the suffix trie: U_s = c_s I + sum_k U_{x_k s} X_k
+    from the deepest level up, so that U_e = f(X). Each level is one batched
+    product U @ X_letter over its nodes, then a sum over each parent's
+    children, one gather-add per sibling rank.
+    """
     if f.d != X.d:
         raise ValueError(f"series in {f.d} letters evaluated at a {X.d}-tuple")
-    vals = W.eval_words(X, f.coeffs.keys())
-    acc = np.zeros((X.n, X.n), dtype=np.complex128)
-    for w, c in f.coeffs.items():
-        acc += c * vals[w]
-    return EvalResult(value=acc, tail_bound=tail_bound(f, X))
+    n = X.n
+    mats = np.stack(X.mats)
+    trie = f.suffix_trie
+    U = np.zeros((trie[-1].size, n, n), dtype=np.complex128)
+    for depth in range(len(trie) - 1, 0, -1):
+        level = trie[depth]
+        _add_scalars(U, level.coeff)
+        P = U @ mats[level.letter]
+        U = P if level.first is None else P[level.first]
+        for runs, nodes in level.more:
+            if runs is None:
+                U += P[nodes]
+            else:
+                U[runs] += P[nodes]
+        if level.parent is not None:
+            U, children = np.zeros((trie[depth - 1].size, n, n), dtype=np.complex128), U
+            U[level.parent] = children
+    _add_scalars(U, trie[0].coeff)
+    return EvalResult(value=U[0], tail_bound=tail_bound(f, X))
 
 
 def monomial_vector(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:

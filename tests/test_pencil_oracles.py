@@ -13,18 +13,41 @@ symmetry scan is one searchsorted pass over keys. Their oracles are the dict
 loops they replace: one coefficient lookup per pencil cell, and a walk over
 the stored words that judges each pair {w, w*} once. Both must agree
 exactly, not to a tolerance.
+
+eval_series is a right Horner pass over the series' suffix trie. Its oracle
+is the sum it replaces, sum_w c_w X^w with X^w from the suffix-sharing word
+evaluator; the two add the terms in different orders, so they agree to
+EVAL_RTOL rather than exactly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freepick.matcore import MatrixTuple, sample
 from freepick.monotone import HamburgerModel, choi_at, hamburger_factor
-from freepick.series import FreeSeries, SeriesDiagnostics, derivative, localizing_matrix, validate
+from freepick import words
+from freepick.series import (
+    FreeSeries,
+    SeriesDiagnostics,
+    derivative,
+    eval_series,
+    localizing_matrix,
+    validate,
+)
 from freepick.words import enumerate_words, eval_words, involute, word_count
 
 RTOL = 1e-12
+EVAL_RTOL = 1e-13
+
+
+def word_sum(f: FreeSeries, X: MatrixTuple) -> np.ndarray:
+    vals = eval_words(X, f.coeffs.keys())
+    acc = np.zeros((X.n, X.n), dtype=np.complex128)
+    for w, c in f.coeffs.items():
+        acc += c * vals[w]
+    return acc
 
 
 def dict_localizing_matrix(f: FreeSeries, k: int, L: int) -> np.ndarray:
@@ -99,9 +122,15 @@ def block_choi(f: FreeSeries, X: MatrixTuple, k: int) -> np.ndarray:
     return C
 
 
-def assert_rel_close(got: np.ndarray, want: np.ndarray) -> None:
+def assert_rel_close(got: np.ndarray, want: np.ndarray, rtol: float = RTOL) -> None:
     scale = max(np.linalg.norm(want), 1.0)
-    assert np.linalg.norm(got - want) <= RTOL * scale
+    assert np.linalg.norm(got - want) <= rtol * scale
+
+
+def assert_eval_matches_word_sum(f: FreeSeries, X: MatrixTuple) -> None:
+    got = eval_series(f, X).value
+    assert got.shape == (X.n, X.n) and got.dtype == np.complex128
+    assert_rel_close(got, word_sum(f, X), EVAL_RTOL)
 
 
 # ------------------------------------------------------------------ inputs
@@ -161,6 +190,22 @@ def deep_sparse(rng: np.random.Generator) -> FreeSeries:
     return FreeSeries(d=2, degree=24, coeffs=coeffs, real_free=True)
 
 
+def block_point(X: MatrixTuple, H: MatrixTuple) -> MatrixTuple:
+    """The 2n x 2n tuple [[X_i, H_i], [0, X_i]] of the block derivative."""
+    zero = np.zeros((X.n, X.n))
+    return MatrixTuple(tuple(np.block([[Xi, Hi], [zero, Xi]]) for Xi, Hi in zip(X.mats, H.mats)))
+
+
+def eval_points(d: int, rng: np.random.Generator) -> list[MatrixTuple]:
+    """n = 1, a general n = 3 tuple and the 2n block point built from it."""
+    X = MatrixTuple(tuple(0.4 * M for M in general_tuple(3, d, rng).mats))
+    return [
+        MatrixTuple(tuple(0.5 * M for M in general_tuple(1, d, rng).mats)),
+        X,
+        block_point(X, general_tuple(3, d, rng)),
+    ]
+
+
 def assert_pencils_equal(f: FreeSeries, levels) -> None:
     for L in levels:
         for k in range(1, f.d + 1):
@@ -178,6 +223,150 @@ def seeded_cases(halfres, d2res):
 
 
 # ------------------------------------------------------------ seeded checks
+
+
+def test_eval_matches_word_sum_on_fixtures(x3_series, halfres_series, d2res_series):
+    rng = np.random.default_rng(14)
+    for f in (x3_series, halfres_series, d2res_series):
+        for X in eval_points(f.d, rng):
+            assert_eval_matches_word_sum(f, X)
+    X = hermitian_point(3, 1, 0.3, seed=1)
+    assert_eval_matches_word_sum(halfres_series, block_point(X, sample("psd_direction", 3, 1, seed=2)))
+
+
+def test_eval_matches_word_sum_on_dense_series():
+    rng = np.random.default_rng(15)
+    for d, degree in ((1, 12), (2, 7), (3, 4)):
+        f = random_dense(d, degree, rng)
+        for X in eval_points(d, rng):
+            assert_eval_matches_word_sum(f, X)
+
+
+def test_eval_matches_word_sum_on_deep_sparse_series():
+    rng = np.random.default_rng(16)
+    f = deep_sparse(rng)
+    for X in eval_points(2, rng):
+        assert_eval_matches_word_sum(f, X)
+
+
+def test_eval_past_the_key_limit_with_a_short_word():
+    # word_count(2, 64) passes int64, so the keys cannot be built; the trie can
+    f = FreeSeries(d=2, degree=64, coeffs={(1,) * 64: 1.0, (2,): 0.5, (1, 2) * 20: -2.0, (): 1j})
+    with pytest.raises(ValueError, match="d=2 at degree 64"):
+        f.keys
+    rng = np.random.default_rng(17)
+    for X in eval_points(2, rng):
+        assert_eval_matches_word_sum(f, X)
+    X = MatrixTuple((np.array([[0.5]]), np.array([[0.25]])))
+    assert eval_series(f, X).value[0, 0] == pytest.approx(0.5**64 + 0.125 - 2.0 * 0.125**20 + 1j, rel=1e-15)
+
+
+def test_eval_empty_and_zero_series():
+    rng = np.random.default_rng(18)
+    for d in (1, 2, 3):
+        for X in eval_points(d, rng):
+            for coeffs in ({}, {(): 0.0, (1,) * 3: 0.0}):
+                got = eval_series(FreeSeries(d=d, degree=3, coeffs=coeffs), X).value
+                assert np.array_equal(got, np.zeros((X.n, X.n)))
+
+
+def test_eval_with_zero_coefficients_and_unstored_suffixes():
+    # no suffix of (1, 2, 1, 2) or (3, 3, 2, 1) is stored but (), and some
+    # stored words hold 0
+    coeffs = {
+        (1, 2, 1, 2): 1.5 - 0.5j,
+        (3, 3, 2, 1): -2.0,
+        (2, 1, 2): 0.0,
+        (): 0.25,
+        (1,): 0.0,
+        (2, 2, 3): 1j,
+        (3, 2, 2, 3): 0.75,
+    }
+    f = FreeSeries(d=3, degree=5, coeffs=coeffs)
+    rng = np.random.default_rng(19)
+    for X in eval_points(3, rng):
+        assert_eval_matches_word_sum(f, X)
+
+
+def trie_suffixes(f: FreeSeries) -> list[list[tuple]]:
+    """The word of every trie node, depth by depth, read back from the levels."""
+    out = [[()]]
+    for level in f.suffix_trie[1:]:
+        first = np.arange(level.size) if level.first is None else level.first
+        run = np.searchsorted(first, np.arange(level.size), side="right") - 1
+        parent = run if level.parent is None else level.parent[run]
+        letter = np.broadcast_to(level.letter, (level.size,))
+        out.append([(int(k) + 1,) + out[-1][p] for k, p in zip(letter, parent)])
+    return out
+
+
+def assert_minimal_trie(f: FreeSeries) -> None:
+    """One node per distinct suffix, ordered by the suffix read right to left
+    (parent first, then letter), carrying the stored coefficients."""
+    suffixes = {w[len(w) - l :] for w in f.coeffs for l in range(len(w) + 1)} | {()}
+    got = trie_suffixes(f)
+    assert len(got) == max(map(len, suffixes)) + 1
+    for l, (nodes, level) in enumerate(zip(got, f.suffix_trie)):
+        assert nodes == sorted((s for s in suffixes if len(s) == l), key=lambda s: s[::-1])
+        assert level.size == len(nodes)
+        stored = [s in f.coeffs for s in nodes]
+        if level.coeff is None:
+            assert not any(stored)
+        else:
+            assert level.coeff.tolist() == [f.coeff(s) for s in nodes]
+
+
+def test_trie_is_minimal_and_ordered(x3_series, halfres_series, d2res_series):
+    rng = np.random.default_rng(22)
+    cases = [x3_series, halfres_series, d2res_series, deep_sparse(rng), random_dense(3, 3, rng)]
+    cases.append(FreeSeries(d=2, degree=4, coeffs={(1, 2): 1.0, (2, 1): 2.0, (1, 1): 3.0, (2, 2, 1, 2): 4.0}))
+    cases.append(FreeSeries(d=2, degree=3, coeffs={}))
+    for f in cases:
+        assert_minimal_trie(f)
+
+
+def test_eval_builds_the_trie_once_per_series(d2res_series, monkeypatch):
+    calls = []
+    letter_array = words.letter_array
+
+    def counting(*args):
+        calls.append(1)
+        return letter_array(*args)
+
+    monkeypatch.setattr(words, "letter_array", counting)
+    f = FreeSeries(d=2, degree=d2res_series.degree, coeffs=d2res_series.coeffs)
+    rng = np.random.default_rng(20)
+    X, H = general_tuple(2, 2, rng), general_tuple(2, 2, rng)
+    first = eval_series(f, X).value
+    derivative(f, X, H, method="block")
+    derivative(f, X, H, method="fd", richardson=True)
+    assert len(calls) == 1
+    assert np.array_equal(eval_series(f, X).value, first)
+    assert len(calls) == 1
+    FreeSeries(d=2, degree=f.degree, coeffs=f.coeffs).suffix_trie
+    assert len(calls) == 2
+
+
+def test_eval_letter_mismatch_message(x3_series):
+    X = sample("hermitian_tuple", 2, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^series in 1 letters evaluated at a 2-tuple$"):
+        eval_series(x3_series, X)
+    f = FreeSeries(d=3, degree=2, coeffs={})
+    with pytest.raises(ValueError, match=r"^series in 3 letters evaluated at a 2-tuple$"):
+        eval_series(f, X)
+
+
+def test_eval_does_not_use_the_word_evaluator(halfres_series, d2res_series, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_series called words.eval_words")
+
+    monkeypatch.setattr(words, "eval_words", refuse)
+    rng = np.random.default_rng(21)
+    for f in (halfres_series, d2res_series, deep_sparse(rng)):
+        X, H = general_tuple(2, f.d, rng), general_tuple(2, f.d, rng)
+        eval_series(f, X)
+        derivative(f, X, H, method="block")
+        derivative(f, X, H, method="fd")
 
 
 def test_pencil_matches_dict_loop_on_fixtures(x3_series, halfres_series, d2res_series):
@@ -325,6 +514,14 @@ def sparse_series(draw, real_free=False):
     coeff = st.sampled_from([0.0, 1.0, -2.5, 0.5j, 0.25 - 0.75j, 3e-13, 1e-12j])
     coeffs = draw(st.dictionaries(word, coeff, max_size=24))
     return FreeSeries(d=d, degree=degree, coeffs=coeffs, real_free=real_free)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_series(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
+def test_eval_oracle_hypothesis(f, n, seed):
+    X = MatrixTuple(tuple(0.6 * M for M in general_tuple(n, f.d, np.random.default_rng(seed)).mats))
+    assert_eval_matches_word_sum(f, X)
+    assert_minimal_trie(f)
 
 
 @settings(max_examples=60, deadline=None)
