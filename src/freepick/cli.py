@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -49,7 +50,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every
+    :func:`main` call; parse_args does not change it, so callers must not
+    either."""
     p = _Parser(prog="freepick", description="free function calculus toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

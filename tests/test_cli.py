@@ -321,3 +321,25 @@ def test_reports_are_byte_identical(fixtures_dir):
     report = json.loads(first.stdout)
     assert report["command"] == "rep-classify"
     assert report["config"]["seed"] == 0
+
+
+def test_in_process_calls_share_one_parser(fixtures_dir, tmp_path, capsys):
+    # the parser is built once; a usage error, other commands and other
+    # flag values in between leave later reports unchanged
+    from freepick import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "eval.json"
+    args = ["eval", "--series", fx(fixtures_dir, "x3_series.json"), "--point", fx(fixtures_dir, "y_point.json")]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    first = out.read_text()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--series", fx(fixtures_dir, "x3_series.json")])
+    assert exc.value.code == 1
+    assert cli.main(["monotone", "--series", fx(fixtures_dir, "x3_series.json"), "--degree", "2", "--out", str(tmp_path / "m.json")]) == 2
+    assert cli.main(args + ["--seed", "5", "--out", str(tmp_path / "seeded.json")]) == 0
+    assert json.loads((tmp_path / "seeded.json").read_text())["config"]["seed"] == 5
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert out.read_text() == first
+    assert json.loads(first)["config"]["seed"] == 0
+    assert "usage: freepick eval" in capsys.readouterr().err
