@@ -16,6 +16,22 @@ The two forms are distinct parameterizations of the class, not the same
 function of (U, v) in general; for scalar models both reduce to Moebius
 maps, which coincide exactly when U is real.
 
+Both forms are linear-pencil resolvents v* L(X)^{-1} R with
+L(X) = A_0 (x) I_n + sum_i A_i (x) X_i (the realization form of Helton,
+Klep and McCullough, and of Ball, Groenewald and Malakorn). With E_i the
+projection of H_d onto its block i, so that delta(X) = sum_i E_i (x) X_i:
+
+    Cayley form:     A_0 = I, A_i = -U E_i, so L = I - (U (x) I) delta(X);
+                     the product (U (x) I) delta(X) is formed once and
+                     serves the pencil and the left factor I + (U (x) I) delta(X);
+    resolvent form:  A_0 = U, A_i = -E_i, so L = U (x) I - delta(X), and
+                     R = (U (x) I + delta(X))(v (x) I).
+
+U (x) I_n, v (x) I_n and v* (x) I_n are built once per model and per n and
+kept on the model (PencilScaffold); a batch of same-size points is one
+stack of pencils and one guarded solve (eval_herglotz_batch), and
+eval_herglotz is a batch of one.
+
 The bridges move between the Pick class on the matricial half-plane and
 the Herglotz class on the polydisk through the coordinatewise Cayley
 transform, and schur_cayley passes on to the contractive Schur class.
@@ -25,8 +41,10 @@ structured isometry [[A, B], [C, D]] to D - C (I + A)^{-1} B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.linalg as la
@@ -37,10 +55,13 @@ from .matcore import (
     HALF_TO_DISK,
     DomainError,
     MatrixTuple,
+    PencilScaffold,
     as_complex_matrix,
     cayley,
     checked_solve,
+    pencil_terms,
     spectral_norm,
+    stack_points,
 )
 
 UNITARITY_TOL = 1e-10
@@ -55,7 +76,7 @@ HERGLOTZ_TO_PICK = "herglotz_to_pick"
 
 
 @dataclass(frozen=True)
-class HerglotzModel:
+class HerglotzModel(PencilScaffold):
     """Model data (U unitary on H_d, unit vector v, real shift a)."""
 
     d: int
@@ -76,53 +97,70 @@ class HerglotzModel:
         v = np.asarray(self.v, dtype=np.complex128).reshape(-1)
         if v.shape != (size,):
             raise ValueError(f"v must have length {size}, got {v.shape[0]}")
+        if not np.isfinite(v).all():
+            raise ValueError("v has non-finite entries")
         if abs(la.norm(v) - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"v must be a unit vector within {UNIT_NORM_TOL:g}")
+        a = float(self.a)
+        if not math.isfinite(a):
+            raise ValueError(f"a must be finite, got {a}")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "a", a)
+
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """E_i, the projection of H_d onto its block i, stacked as (d, dm, dm)."""
+        size = self.d * self.m
+        owner = np.arange(size) // self.m
+        return np.eye(size) * (owner == np.arange(self.d)[:, None])[:, None, :]
+
+    @cached_property
+    def pencil_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, v, v*): the scaffold is (U (x) I_n, v (x) I_n, v* (x) I_n)."""
+        return self.U, self.v.reshape(-1, 1), self.v.conj().reshape(1, -1)
 
 
-def delta(X: MatrixTuple, m: int) -> np.ndarray:
-    """Block-diagonal sum of the I_m (x) X_i, a dmn x dmn matrix."""
-    n = X.n
-    size = X.d * m * n
-    out = np.zeros((size, size), dtype=np.complex128)
-    step = m * n
-    for i, Xi in enumerate(X.mats):
-        out[i * step : (i + 1) * step, i * step : (i + 1) * step] = np.kron(np.eye(m), Xi)
-    return out
-
-
-def _require_strict_contractions(X: MatrixTuple) -> None:
-    for i, Xi in enumerate(X.mats, start=1):
-        r = spectral_norm(Xi)
-        if r > 1.0 - CONTRACTION_MARGIN:
-            raise DomainError(
-                f"coordinate {i} has norm {r:.6g}; evaluation needs "
-                f"strict contractions (norm <= {1.0 - CONTRACTION_MARGIN})"
-            )
+def _require_strict_contractions(Xs: np.ndarray) -> None:
+    norms = la.svd(Xs, compute_uv=False)[..., 0]
+    bad = norms > 1.0 - CONTRACTION_MARGIN
+    if bad.any():
+        p, i = np.argwhere(bad)[0]
+        where = f"point {p}: " if len(Xs) > 1 else ""
+        raise DomainError(
+            f"{where}coordinate {i + 1} has norm {norms[p, i]:.6g}; evaluation needs "
+            f"strict contractions (norm <= {1.0 - CONTRACTION_MARGIN})"
+        )
 
 
 def eval_herglotz(model: HerglotzModel, X: MatrixTuple, form: str = CAYLEY_FORM) -> np.ndarray:
     """Evaluate the model at a strict contraction tuple in either form."""
+    return eval_herglotz_batch(model, (X,), form)[0]
+
+
+def eval_herglotz_batch(
+    model: HerglotzModel, points: Sequence[MatrixTuple], form: str = CAYLEY_FORM
+) -> np.ndarray:
+    """Evaluate the model at same-size strict contraction tuples, (P, n, n).
+
+    One pencil per point over a shared scaffold, one guarded stacked solve.
+    """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-    if X.d != model.d:
-        raise ValueError(f"X has {X.d} coordinates, the model has {model.d}")
-    _require_strict_contractions(X)
-    n = X.n
-    eye_n = np.eye(n)
-    D = delta(X, model.m)
-    v_col = np.kron(model.v.reshape(-1, 1), eye_n)
-    v_row = np.kron(model.v.conj().reshape(1, -1), eye_n)
-    UI = np.kron(model.U, eye_n)
+    Xs = stack_points(points)
+    if Xs.shape[1] != model.d:
+        raise ValueError(f"X has {Xs.shape[1]} coordinates, the model has {model.d}")
+    _require_strict_contractions(Xs)
+    n = Xs.shape[-1]
+    UI, v_col, v_row = model.scaffold(n)
+    D = pencil_terms(model._blocks, Xs)
     if form == CAYLEY_FORM:
-        full = np.eye(D.shape[0])
-        sol = checked_solve(full - UI @ D, v_col, "Herglotz Cayley kernel")
-        return v_row @ (full + UI @ D) @ sol
+        UD = UI @ D
+        eye = np.eye(UD.shape[-1])
+        sol = checked_solve(eye - UD, v_col, "Herglotz Cayley kernel")
+        return v_row @ (eye + UD) @ sol
     sol = checked_solve(UI - D, (UI + D) @ v_col, "Herglotz resolvent")
-    return -1j * model.a * eye_n + v_row @ sol
+    return -1j * model.a * np.eye(n) + v_row @ sol
 
 
 def herglotz_evaluator(model: HerglotzModel, form: str = CAYLEY_FORM) -> Callable[[MatrixTuple], np.ndarray]:

@@ -15,6 +15,8 @@ immutable after construction, so they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 import numpy.linalg as la
@@ -60,7 +62,7 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
 
@@ -171,12 +173,78 @@ def psd_min_eig(H, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol * (1 + norm), tol_used=tol)
 
 
-def checked_solve(A: np.ndarray, B: np.ndarray, what: str = "pencil") -> np.ndarray:
-    """A^{-1} B with the package-wide condition cutoff."""
-    c = la.cond(A)
-    if not np.isfinite(c) or c > COND_CUTOFF:
-        raise SingularityError(f"{what} has condition number {c:.3e} > {COND_CUTOFF:g}")
+def checked_solve(A: np.ndarray, B: np.ndarray, what: str | Sequence[str] = "pencil") -> np.ndarray:
+    """A^{-1} B with the package-wide condition cutoff.
+
+    A is one matrix (N, N) or a stack (P, N, N), and B broadcasts against it
+    as in numpy.linalg.solve. The 2-norm condition numbers come from one
+    stacked singular-value call, the one numpy.linalg.cond makes, so the
+    verdict is the same as la.cond's matrix by matrix. A stacked call names
+    the first matrix past the cutoff by its index, or by its entry in what
+    when what is a sequence of labels.
+    """
+    s = la.svd(A, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = s[..., 0] / s[..., -1]
+    bad = ~(c <= COND_CUTOFF)
+    if bad.any():
+        if A.ndim == 2:
+            label, worst = what, c
+        else:
+            p = int(np.argmax(bad))
+            label = f"{what} at point {p}" if isinstance(what, str) else what[p]
+            worst = c[p]
+        if np.isnan(worst):  # 0/0 from a zero matrix; la.cond reports inf
+            worst = np.inf
+        raise SingularityError(f"{label} has condition number {worst:.3e} > {COND_CUTOFF:g}")
     return la.solve(A, B)
+
+
+class PencilScaffold:
+    """Mixin for a model evaluated through a linear pencil at n x n points.
+
+    The model lists its constant matrices in pencil_constants (None for an
+    absent one). scaffold(n) returns each of them tensored with I_n, built
+    on first use for that n and then kept on the model object, so the cache
+    lives as long as the model does and no longer.
+    """
+
+    @cached_property
+    def _scaffolds(self) -> dict[int, tuple]:
+        return {}
+
+    def scaffold(self, n: int) -> tuple:
+        parts = self._scaffolds.get(n)
+        if parts is None:
+            eye = np.eye(n)
+            parts = tuple(None if C is None else np.kron(C, eye) for C in self.pencil_constants)
+            self._scaffolds[n] = parts
+        return parts
+
+
+def stack_points(points: Sequence[MatrixTuple]) -> np.ndarray:
+    """The (P, d, n, n) array of a non-empty sequence of same-shape tuples."""
+    shapes = {(X.d, X.n) for X in points}
+    if len(shapes) != 1:
+        raise ValueError(f"a batch needs at least one point and one (d, n) shape, got {sorted(shapes)}")
+    return np.array([X.mats for X in points])
+
+
+def pencil_terms(A: np.ndarray, Xs: np.ndarray) -> np.ndarray:
+    """Sum_i A_i (x) X_i at every point of a stack.
+
+    A holds the coefficients, shape (d, M, K); Xs the points, shape
+    (P, d, n, n). The result has shape (P, M n, K n). The terms are added in
+    coordinate order, each one an entrywise product, as np.kron forms it.
+    A linear pencil A_0 (x) I_n + sum_i A_i (x) X_i is this sum plus the
+    constant A_0 (x) I_n, which callers build once per n.
+    """
+    P, d, n, _ = Xs.shape
+    _, M, K = A.shape
+    out = A[0][:, None, :, None] * Xs[:, 0, None, :, None, :]
+    for i in range(1, d):
+        out += A[i][:, None, :, None] * Xs[:, i, None, :, None, :]
+    return out.reshape(P, M * n, K * n)
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -212,21 +280,16 @@ def cayley(P: MatrixTuple, direction: str) -> MatrixTuple:
     contractions to coordinates with positive-definite imaginary part.
     """
     eye = np.eye(P.n, dtype=np.complex128)
-    out = []
+    Xs = np.array(P.mats)
+    labels = range(1, P.d + 1)
     if direction == DISK_TO_HALF:
-        for i, X in enumerate(P.mats):
-            try:
-                out.append(1j * checked_solve(eye - X, eye + X, what=f"I - X_{i + 1}"))
-            except SingularityError as exc:
-                raise SingularityError(f"coordinate {i + 1}: {exc}") from None
+        what = [f"coordinate {i}: I - X_{i}" for i in labels]
+        out = 1j * checked_solve(eye - Xs, eye + Xs, what)
     elif direction == HALF_TO_DISK:
-        for i, Z in enumerate(P.mats):
-            try:
-                # (Z - iI)(Z + iI)^{-1}, via the transposed system
-                Xi = checked_solve((Z + 1j * eye).T, (Z - 1j * eye).T, what=f"Z_{i + 1} + iI").T
-            except SingularityError as exc:
-                raise SingularityError(f"coordinate {i + 1}: {exc}") from None
-            out.append(Xi)
+        # (Z - iI)(Z + iI)^{-1}, via the transposed systems
+        what = [f"coordinate {i}: Z_{i} + iI" for i in labels]
+        A, B = (Xs + 1j * eye).swapaxes(-1, -2), (Xs - 1j * eye).swapaxes(-1, -2)
+        out = checked_solve(A, B, what).swapaxes(-1, -2)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return MatrixTuple(tuple(out))

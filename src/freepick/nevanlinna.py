@@ -17,12 +17,30 @@ In finite dimensions kinds 2 and 3 collapse (v always lies in the domain of
 A), so a kind-3 built function classifies as type 2. The classifier takes
 the lowest-numbered criterion that its three-point limit heuristic accepts
 and always ships the raw sequences so a caller can re-decide.
+
+Every kind is a linear-pencil resolvent h(Z) = a I + (l (x) I) L(Z)^{-1} R
+with L(Z) = A_0 (x) I_n + sum_i A_i (x) Z_i. With
+delta(Z) = sum_i Y_i (x) Z_i (P_i for kind 4):
+
+    kinds 1, 2:  A_0 = A, A_i = -Y_i; l = v*, R = v (x) I;
+    kind 3:      A_0 = A, A_i = -Y_i; with B = I - iA, l = v* B and
+                 R = (I + delta(Z)(A (x) I))(B^{-1} v (x) I);
+    kind 4:      A_0 = D1 = I_N (+) A, A_i = -P_i E_K with E_K the
+                 projection onto K; with T = -i I_N (+) (I - iA), l = v* T
+                 and R = (delta(Z)(D1 (x) I) + E_K (x) I)(T^{-1} v (x) I).
+
+B, T, D1, E_K and the two vectors are computed once per spec, and their
+tensor products with I_n once per spec and per n (PencilScaffold). A batch
+of same-size points is one stack of pencils and one guarded solve
+(eval_representation_batch); eval_representation is a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.linalg as la
@@ -31,11 +49,14 @@ from .matcore import (
     DEFAULT_PSD_TOL,
     DomainError,
     MatrixTuple,
+    PencilScaffold,
     checked_solve,
     imag_part,
+    pencil_terms,
     psd_min_eig,
     sample,
     spectral_norm,
+    stack_points,
 )
 
 STRUCTURE_TOL = 1e-10
@@ -47,8 +68,15 @@ def _as_vector(v, m: int) -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128).reshape(-1)
     if arr.shape != (m,):
         raise ValueError(f"v must be a length-{m} vector, got shape {np.asarray(v).shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("v has non-finite entries")
+    return arr
+
+
+def _as_finite(M, name: str) -> np.ndarray:
+    arr = np.asarray(M, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
     return arr
 
 
@@ -58,7 +86,7 @@ def _check_hermitian(A: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class RepresentationSpec:
+class RepresentationSpec(PencilScaffold):
     """Data of a type 1-4 Nevanlinna representation on C^m.
 
     kinds 1-3 carry a positive decomposition Y (kind 1 additionally has
@@ -78,8 +106,11 @@ class RepresentationSpec:
     def __post_init__(self) -> None:
         if self.kind not in (1, 2, 3, 4):
             raise ValueError(f"kind must be 1..4, got {self.kind}")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=np.complex128))
+        a = float(self.a)
+        if not math.isfinite(a):
+            raise ValueError(f"a must be finite, got {a}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "A", _as_finite(self.A, "A"))
         object.__setattr__(self, "v", _as_vector(self.v, self.m))
         if self.kind == 1 and self.a != 0.0:
             raise ValueError("kind 1 requires a = 0")
@@ -93,7 +124,9 @@ class RepresentationSpec:
             raise ValueError(f"kind {self.kind} requires a positive decomposition Y")
         if self.P is not None:
             raise ValueError("Y-kinds do not take projections P")
-        mats = tuple(np.asarray(Yi, dtype=np.complex128) for Yi in self.Y)
+        if self.dimN is not None:
+            raise ValueError("Y-kinds do not take dimN")
+        mats = tuple(_as_finite(Yi, f"Y_{i}") for i, Yi in enumerate(self.Y, start=1))
         object.__setattr__(self, "Y", mats)
         if self.A.shape != (self.m, self.m):
             raise ValueError(f"A must be {self.m}x{self.m}, got {self.A.shape}")
@@ -116,7 +149,7 @@ class RepresentationSpec:
             raise ValueError("kind 4 does not take a positive decomposition Y")
         if not 0 <= self.dimN <= self.m:
             raise ValueError(f"dimN must lie in 0..{self.m}, got {self.dimN}")
-        mats = tuple(np.asarray(Pi, dtype=np.complex128) for Pi in self.P)
+        mats = tuple(_as_finite(Pi, f"P_{i}") for i, Pi in enumerate(self.P, start=1))
         object.__setattr__(self, "P", mats)
         k = self.m - self.dimN
         if self.A.shape != (k, k):
@@ -147,60 +180,65 @@ class RepresentationSpec:
     def decomposition(self) -> tuple[np.ndarray, ...]:
         return self.Y if self.Y is not None else self.P
 
+    @cached_property
+    def _decomposition_stack(self) -> np.ndarray:
+        return np.array(self.decomposition)
 
-def delta_Y(spec: RepresentationSpec, Z: MatrixTuple) -> np.ndarray:
-    """sum_i Y_i (x) Z_i (projections for kind 4), an mn x mn matrix."""
-    if Z.d != spec.d:
-        raise ValueError(f"Z has {Z.d} coordinates, the decomposition has {spec.d}")
-    n = Z.n
-    acc = np.zeros((spec.m * n, spec.m * n), dtype=np.complex128)
-    for Yi, Zi in zip(spec.decomposition, Z.mats):
-        acc += np.kron(Yi, Zi)
-    return acc
+    @cached_property
+    def pencil_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """(A_0, left row, right column, E_K) of the kind's resolvent, once per spec."""
+        if self.kind in (1, 2):
+            return self.A, self.v.conj().reshape(1, -1), self.v.reshape(-1, 1), None
+        if self.kind == 3:
+            B = np.eye(self.m) - 1j * self.A
+            return self.A, (self.v.conj() @ B).reshape(1, -1), la.solve(B, self.v).reshape(-1, 1), None
+        nN = self.dimN
+        k = self.m - nN
+        T = np.zeros((self.m, self.m), dtype=np.complex128)
+        T[:nN, :nN] = -1j * np.eye(nN)
+        T[nN:, nN:] = np.eye(k) - 1j * self.A
+        D1 = np.zeros((self.m, self.m), dtype=np.complex128)
+        D1[:nN, :nN] = np.eye(nN)
+        D1[nN:, nN:] = self.A
+        EK = np.zeros((self.m, self.m), dtype=np.complex128)
+        EK[nN:, nN:] = np.eye(k)
+        return D1, (self.v.conj() @ T).reshape(1, -1), la.solve(T, self.v).reshape(-1, 1), EK
 
 
-def _require_half_plane(Z: MatrixTuple) -> None:
-    for i, Zi in enumerate(Z.mats, start=1):
-        if la.eigvalsh(imag_part(Zi)).min() <= 0:
-            raise DomainError(f"coordinate {i} is not in the open matricial half-plane")
+def _require_half_plane(Zs: np.ndarray) -> None:
+    low = la.eigvalsh((Zs - Zs.conj().swapaxes(-1, -2)) / 2j)[..., 0]
+    bad = low <= 0
+    if bad.any():
+        p, i = np.argwhere(bad)[0]
+        where = f"point {p}: " if len(Zs) > 1 else ""
+        raise DomainError(f"{where}coordinate {i + 1} is not in the open matricial half-plane")
 
 
 def eval_representation(spec: RepresentationSpec, Z: MatrixTuple) -> np.ndarray:
     """Evaluate the structured resolvent of spec.kind at Z in Pi^d."""
-    _require_half_plane(Z)
-    n = Z.n
-    eye_n = np.eye(n)
-    delta = delta_Y(spec, Z)
-    v_col = np.kron(spec.v.reshape(-1, 1), eye_n)
+    return eval_representation_batch(spec, (Z,))[0]
+
+
+def eval_representation_batch(spec: RepresentationSpec, points: Sequence[MatrixTuple]) -> np.ndarray:
+    """Evaluate the structured resolvent at same-size points of Pi^d, (P, n, n).
+
+    One pencil per point over the spec's cached scaffold, one guarded
+    stacked solve.
+    """
+    Zs = stack_points(points)
+    _require_half_plane(Zs)
+    if Zs.shape[1] != spec.d:
+        raise ValueError(f"Z has {Zs.shape[1]} coordinates, the decomposition has {spec.d}")
+    n = Zs.shape[-1]
+    A0, v_row, v_col, EK = spec.scaffold(n)
+    delta = pencil_terms(spec._decomposition_stack, Zs)
     if spec.kind in (1, 2):
-        G = np.kron(spec.A, eye_n) - delta
-        sol = checked_solve(G, v_col, "structured resolvent")
-        core = np.kron(spec.v.conj().reshape(1, -1), eye_n) @ sol
+        sol = checked_solve(A0 - delta, v_col, "structured resolvent")
     elif spec.kind == 3:
-        B = np.eye(spec.m) - 1j * spec.A
-        G = np.kron(spec.A, eye_n) - delta
-        w = la.solve(B, spec.v)
-        mid = np.kron(w.reshape(-1, 1), eye_n)
-        mid = mid + delta @ np.kron(spec.A, eye_n) @ mid
-        sol = checked_solve(G, mid, "structured resolvent")
-        core = np.kron((spec.v.conj() @ B).reshape(1, -1), eye_n) @ sol
+        sol = checked_solve(A0 - delta, v_col + delta @ A0 @ v_col, "structured resolvent")
     else:
-        nN = spec.dimN
-        k = spec.m - nN
-        T = np.zeros((spec.m, spec.m), dtype=np.complex128)
-        T[:nN, :nN] = -1j * np.eye(nN)
-        T[nN:, nN:] = np.eye(k) - 1j * spec.A
-        D1 = np.zeros((spec.m, spec.m), dtype=np.complex128)
-        D1[:nN, :nN] = np.eye(nN)
-        D1[nN:, nN:] = spec.A
-        EK = np.zeros((spec.m, spec.m), dtype=np.complex128)
-        EK[nN:, nN:] = np.eye(k)
-        G = np.kron(D1, eye_n) - delta @ np.kron(EK, eye_n)
-        R = delta @ np.kron(D1, eye_n) + np.kron(EK, eye_n)
-        tv = la.solve(T, spec.v)
-        sol = checked_solve(G, R @ np.kron(tv.reshape(-1, 1), eye_n), "structured resolvent")
-        core = np.kron((spec.v.conj() @ T).reshape(1, -1), eye_n) @ sol
-    return spec.a * eye_n + core
+        sol = checked_solve(A0 - delta @ EK, (delta @ A0 + EK) @ v_col, "structured resolvent")
+    return spec.a * np.eye(n) + v_row @ sol
 
 
 def representation_evaluator(spec: RepresentationSpec) -> Callable[[MatrixTuple], np.ndarray]:
@@ -335,12 +373,17 @@ def pick_positivity_check(
     tol: float = DEFAULT_PSD_TOL,
     levels: tuple[int, ...] = (1, 2, 3),
 ) -> PickPositivityReport:
-    """Sampled check that Im h(Z) stays PSD over half-plane points."""
+    """Sampled check that Im h(Z) stays PSD over half-plane points.
+
+    Sample t is the pi_point of size levels[t % len(levels)] drawn with seed
+    seed + 104729 t; each level's samples are evaluated as one batch.
+    """
+    if not levels:
+        raise ValueError("levels must name at least one matrix size")
     worst = float("inf")
-    for t in range(samples):
-        n = levels[t % len(levels)]
-        Z = sample("pi_point", n, spec.d, seed + 104729 * t)
-        h = eval_representation(spec, Z)
-        rep = psd_min_eig(imag_part(h), tol)
-        worst = min(worst, rep.min_eig)
+    for k, n in enumerate(levels):
+        points = [sample("pi_point", n, spec.d, seed + 104729 * t) for t in range(k, samples, len(levels))]
+        if points:
+            for h in eval_representation_batch(spec, points):
+                worst = min(worst, psd_min_eig(imag_part(h), tol).min_eig)
     return PickPositivityReport(samples=samples, levels=levels, min_imag_eig=worst, tol=tol)

@@ -8,7 +8,6 @@ from freepick.herglotz import (
     PICK_TO_HERGLOTZ,
     RESOLVENT_FORM,
     HerglotzModel,
-    delta,
     eval_herglotz,
     herglotz_evaluator,
     lurking_unitary_reduce,
@@ -24,6 +23,7 @@ from freepick.matcore import (
     spectral_norm,
 )
 from freepick.nevanlinna import RepresentationSpec, representation_evaluator
+from test_resolvent_oracles import delta
 
 
 def scalar_model(u: complex, a: float = 0.0) -> HerglotzModel:
@@ -61,6 +61,19 @@ def test_model_rejects_wrong_sizes():
         HerglotzModel(d=1, m=2, U=np.eye(2), v=np.array([1.0]))
     with pytest.raises(ValueError, match="positive"):
         HerglotzModel(d=0, m=2, U=np.eye(0), v=np.zeros(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_model_rejects_nonfinite_vector(bad):
+    # abs(nan - 1) > tol is False, so a NaN used to pass the unit-norm check
+    with pytest.raises(ValueError, match="v has non-finite"):
+        HerglotzModel(d=1, m=2, U=np.eye(2), v=np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_nonfinite_shift(bad):
+    with pytest.raises(ValueError, match="a must be finite"):
+        HerglotzModel(d=1, m=1, U=np.eye(1), v=np.array([1.0]), a=bad)
 
 
 # --------------------------------------------------------------------- delta

@@ -9,6 +9,7 @@ from freepick.matcore import (
     AsymmetryError,
     MatrixTuple,
     SingularityError,
+    as_complex_matrix,
     cayley,
     direct_sum,
     haar_unitary,
@@ -18,6 +19,12 @@ from freepick.matcore import (
     sample,
     spectral_norm,
 )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)])
+def test_as_complex_matrix_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="^M has non-finite entries$"):
+        as_complex_matrix(np.array([[1.0, bad]]), "M")
 
 
 def test_imag_part_scalar_i():

@@ -8,7 +8,6 @@ from freepick.nevanlinna import (
     SequenceSummary,
     asymptotic_probe,
     classify_type,
-    delta_Y,
     eval_representation,
     pi_sampler,
     pick_positivity_check,
@@ -16,6 +15,7 @@ from freepick.nevanlinna import (
     scalar_evaluator,
 )
 from freepick.series import axiom_verify
+from test_resolvent_oracles import delta_Y
 
 
 def scalar_spec(kind: int, alpha: float, a: float = 0.0) -> RepresentationSpec:
@@ -103,6 +103,37 @@ def test_projection_kind_validation_errors():
         )
     with pytest.raises(ValueError, match="requires projections"):
         RepresentationSpec(kind=4, a=0.0, m=2, A=np.eye(1), v=[1.0, 0.0], dimN=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_nonfinite_matrices(bad):
+    A = np.diag([1.0, bad])
+    with pytest.raises(ValueError, match="^A has non-finite"):
+        RepresentationSpec(kind=2, a=0.0, m=2, A=A, v=[1.0, 0.0], Y=(np.eye(2),))
+    Y2 = np.diag([0.0, bad])
+    with pytest.raises(ValueError, match="^Y_2 has non-finite"):
+        RepresentationSpec(kind=2, a=0.0, m=2, A=np.eye(2), v=[1.0, 0.0], Y=(np.eye(2), Y2))
+    P1 = np.diag([bad, 0.0])
+    with pytest.raises(ValueError, match="^P_1 has non-finite"):
+        RepresentationSpec(
+            kind=4, a=0.0, m=2, A=np.eye(1), v=[1.0, 0.0], P=(P1, np.diag([0.0, 1.0])), dimN=1
+        )
+
+
+@pytest.mark.parametrize("kind", [2, 3, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_nonfinite_constant(kind, bad):
+    with pytest.raises(ValueError, match="a must be finite"):
+        if kind == 4:
+            split_spec(a=bad)
+        else:
+            diag_spec(kind, a=bad)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_y_kinds_reject_dimN(kind):
+    with pytest.raises(ValueError, match="dimN"):
+        RepresentationSpec(kind=kind, a=0.0, m=1, A=np.eye(1), v=[1.0], Y=(np.eye(1),), dimN=0)
 
 
 def test_spec_shape_properties():
@@ -268,6 +299,11 @@ def test_pick_positivity_fixture_specs():
         assert report.passed, spec.kind
         assert report.min_imag_eig >= -1e-9
         assert report.levels == (1, 2, 3)
+
+
+def test_pick_positivity_needs_levels():
+    with pytest.raises(ValueError, match="levels"):
+        pick_positivity_check(diag_spec(1), samples=3, levels=())
 
 
 def test_pick_positivity_deterministic():
