@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -40,6 +41,8 @@ class RunConfig:
             raise ValueError("degree must be nonnegative")
         if self.tol <= 0 or self.samples <= 0 or self.dim <= 0:
             raise ValueError("tol, samples, and dim must be positive")
+        if not math.isfinite(self.tol):
+            raise ValueError("tol must be finite")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,48 +61,49 @@ def build_parser() -> _Parser:
     p = _Parser(prog="freepick", description="free function calculus toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
+    def cmd(name: str, help_text: str, run) -> argparse.ArgumentParser:
         c = sub.add_parser(name, help=help_text)
         for fld in fields(RunConfig):
             c.add_argument(f"--{fld.name}", type=type(fld.default), default=fld.default)
         c.add_argument("--out", default=None, help="write the report here instead of stdout")
+        c.set_defaults(run=run)
         return c
 
-    c = cmd("eval", "evaluate a series at a matrix tuple")
+    c = cmd("eval", "evaluate a series at a matrix tuple", _run_eval)
     c.add_argument("--series", required=True)
     c.add_argument("--point", required=True)
 
-    c = cmd("deriv", "directional derivative of a series")
+    c = cmd("deriv", "directional derivative of a series", _run_deriv)
     c.add_argument("--series", required=True)
     c.add_argument("--point", required=True)
     c.add_argument("--direction", required=True, help="tuple file with the direction H")
     c.add_argument("--method", choices=series.METHODS, default=series.BLOCK)
 
-    c = cmd("monotone", "certify or refute local monotonicity near 0")
+    c = cmd("monotone", "certify or refute local monotonicity near 0", _run_monotone)
     c.add_argument("--series", required=True)
 
-    c = cmd("interpolate", "minimum-norm interpolation through the kernel span")
+    c = cmd("interpolate", "minimum-norm interpolation through the kernel span", _run_interpolate)
     c.add_argument("--point", required=True)
     c.add_argument("--direction", required=True, help="matrix file with the target value")
 
-    c = cmd("axioms", "fuzz the free-function axioms")
+    c = cmd("axioms", "fuzz the free-function axioms", _run_axioms)
     c.add_argument("--series", default=None)
     c.add_argument("--rep", default=None)
 
-    c = cmd("rep-eval", "evaluate a Nevanlinna representation on the half-plane")
+    c = cmd("rep-eval", "evaluate a Nevanlinna representation on the half-plane", _run_rep_eval)
     c.add_argument("--rep", required=True)
     c.add_argument("--point", required=True)
 
-    c = cmd("rep-classify", "asymptotic type of a representation")
+    c = cmd("rep-classify", "asymptotic type of a representation", _run_rep_classify)
     c.add_argument("--rep", required=True)
     c.add_argument("--smax", type=float, default=2.0**20)
 
-    c = cmd("herglotz-eval", "evaluate a Herglotz model on the polydisk")
+    c = cmd("herglotz-eval", "evaluate a Herglotz model on the polydisk", _run_herglotz_eval)
     c.add_argument("--model", required=True)
     c.add_argument("--point", required=True)
     c.add_argument("--method", choices=herglotz.FORMS, default=herglotz.CAYLEY_FORM)
 
-    c = cmd("cayley", "coordinatewise Cayley transform of a tuple")
+    c = cmd("cayley", "coordinatewise Cayley transform of a tuple", _run_cayley)
     c.add_argument("--point", required=True)
     c.add_argument("--direction", required=True, choices=sorted(_CAYLEY_DIRECTIONS))
 
@@ -107,9 +111,17 @@ def build_parser() -> _Parser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        degree=args.degree, tol=args.tol, seed=args.seed, samples=args.samples, dim=args.dim
-    )
+    return RunConfig(**{fld.name: getattr(args, fld.name) for fld in fields(RunConfig)})
+
+
+def _load_spec(path: str, kind: type, label: str):
+    """The spec at path, refusing a representation where a model is wanted
+    and the reverse."""
+    spec = jsonio.parse_spec(path)
+    if not isinstance(spec, kind):
+        want, got = ("model", "representation") if kind is herglotz.HerglotzModel else ("representation", "model")
+        raise CalcError(f"{label} needs a {want} file, not a {got}")
+    return spec
 
 
 def _summary_to_json(s: nevanlinna.SequenceSummary) -> dict:
@@ -181,9 +193,7 @@ def _run_axioms(args, cfg: RunConfig) -> tuple[dict, int]:
         sampler = None
         subject = "series"
     else:
-        spec = jsonio.parse_spec(args.rep)
-        if not isinstance(spec, nevanlinna.RepresentationSpec):
-            raise CalcError("axioms --rep needs a representation file, not a model")
+        spec = _load_spec(args.rep, nevanlinna.RepresentationSpec, "axioms --rep")
         evaluator = nevanlinna.representation_evaluator(spec)
         d = spec.d
         sampler = nevanlinna.pi_sampler(d)
@@ -203,25 +213,21 @@ def _run_axioms(args, cfg: RunConfig) -> tuple[dict, int]:
         "all_graded": report.all_graded,
         "max_direct_sum": jsonio.float_to_json(report.max_direct_sum),
         "max_similarity": jsonio.float_to_json(report.max_similarity),
-        "errors": [t.error for t in report.trials if t.error is not None],
+        "errors": list(report.errors),
         "passed": report.passed,
     }
     return out, 0 if report.passed else 2
 
 
 def _run_rep_eval(args, cfg: RunConfig) -> tuple[dict, int]:
-    spec = jsonio.parse_spec(args.rep)
-    if not isinstance(spec, nevanlinna.RepresentationSpec):
-        raise CalcError("rep-eval needs a representation file, not a model")
+    spec = _load_spec(args.rep, nevanlinna.RepresentationSpec, "rep-eval")
     Z = jsonio.parse_tuple(args.point)
     h = nevanlinna.eval_representation(spec, Z)
     return {"value": jsonio.matrix_to_json(h)}, 0
 
 
 def _run_rep_classify(args, cfg: RunConfig) -> tuple[dict, int]:
-    spec = jsonio.parse_spec(args.rep)
-    if not isinstance(spec, nevanlinna.RepresentationSpec):
-        raise CalcError("rep-classify needs a representation file, not a model")
+    spec = _load_spec(args.rep, nevanlinna.RepresentationSpec, "rep-classify")
     probe = nevanlinna.asymptotic_probe(nevanlinna.scalar_evaluator(spec), smax=args.smax)
     verdict = nevanlinna.classify_type(probe)
     report = {
@@ -244,9 +250,7 @@ def _run_rep_classify(args, cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _run_herglotz_eval(args, cfg: RunConfig) -> tuple[dict, int]:
-    model = jsonio.parse_spec(args.model)
-    if not isinstance(model, herglotz.HerglotzModel):
-        raise CalcError("herglotz-eval needs a model file, not a representation")
+    model = _load_spec(args.model, herglotz.HerglotzModel, "herglotz-eval")
     X = jsonio.parse_tuple(args.point)
     h = herglotz.eval_herglotz(model, X, form=args.method)
     return {"value": jsonio.matrix_to_json(h), "form": args.method}, 0
@@ -259,24 +263,11 @@ def _run_cayley(args, cfg: RunConfig) -> tuple[dict, int]:
     return {"tuple": jsonio.tuple_to_json(out), "direction": direction}, 0
 
 
-_DISPATCH = {
-    "eval": _run_eval,
-    "deriv": _run_deriv,
-    "monotone": _run_monotone,
-    "interpolate": _run_interpolate,
-    "axioms": _run_axioms,
-    "rep-eval": _run_rep_eval,
-    "rep-classify": _run_rep_classify,
-    "herglotz-eval": _run_herglotz_eval,
-    "cayley": _run_cayley,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config(args)
-        body, status = _DISPATCH[args.command](args, cfg)
+        body, status = args.run(args, cfg)
     except (CalcError, ValueError) as exc:
         print(f"freepick: {exc}", file=sys.stderr)
         return 1

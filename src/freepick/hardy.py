@@ -27,7 +27,7 @@ GRAM_RANK_RTOL = 1e-12
 FEASIBILITY_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SzegoFrame:
     """Kernels at X up to degree L, stacked as columns of K.
 

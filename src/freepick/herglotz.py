@@ -75,7 +75,7 @@ PICK_TO_HERGLOTZ = "pick_to_herglotz"
 HERGLOTZ_TO_PICK = "herglotz_to_pick"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HerglotzModel(PencilScaffold):
     """Model data (U unitary on H_d, unit vector v, real shift a)."""
 

@@ -2,11 +2,13 @@
 
 Complex scalars travel as [re, im] pairs, matrices as row-major nested
 lists of those pairs (plain numbers are accepted on input for real
-entries), and matrix tuples as {"d", "n", "matrices"}. Parsers validate
-eagerly and raise SchemaError naming the JSON path of the offending
-field, so CLI users see "$.terms[3].word" instead of a traceback from
-three layers down. Serializers always emit the strict two-component
-form; non-finite floats become null.
+entries), and matrix tuples as {"d", "n", "matrices"}. Numbers must be
+finite floats, so an integer literal past the float range is refused; a
+series' "real_free", when present, must be a JSON boolean. Parsers
+validate eagerly and raise SchemaError naming the JSON path of the
+offending field, so CLI users see "$.terms[3].word" instead of a
+traceback from three layers down. Serializers always emit the strict
+two-component form; non-finite floats become null.
 """
 
 from __future__ import annotations
@@ -37,22 +39,24 @@ def _load(path: str) -> Any:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True):
+def _get(obj: dict, key: str, path: str):
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
     if key not in obj:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return None
+        _fail(path, f"missing required key {key!r}")
     return obj[key]
 
 
 def _as_number(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail(path, f"expected a number, got {type(x).__name__}")
+    try:
+        x = float(x)
+    except OverflowError:
+        _fail(path, "number is too large for a float")
     if not math.isfinite(x):
         _fail(path, "number must be finite")
-    return float(x)
+    return x
 
 
 def _as_int(x, path: str) -> int:
@@ -91,11 +95,21 @@ def _as_vector(obj, path: str) -> np.ndarray:
     return np.array([_as_complex(x, f"{path}[{i}]") for i, x in enumerate(obj)])
 
 
+def _as_matrix_list(obj, path: str) -> tuple[np.ndarray, ...] | None:
+    if obj is None:
+        return None
+    if not isinstance(obj, list):
+        _fail(path, "expected a list of matrices")
+    return tuple(_as_matrix(M, f"{path}[{i}]") for i, M in enumerate(obj))
+
+
 def parse_series(path: str) -> FreeSeries:
     data = _load(path)
     d = _as_int(_get(data, "d", "$"), "$.d")
     degree = _as_int(_get(data, "degree", "$"), "$.degree")
-    real_free = bool(data.get("real_free", False))
+    real_free = data.get("real_free", False)
+    if not isinstance(real_free, bool):
+        _fail("$.real_free", f"expected a boolean, got {type(real_free).__name__}")
     decay = data.get("decay_rate")
     if decay is not None:
         decay = _as_number(decay, "$.decay_rate")
@@ -168,17 +182,9 @@ def _parse_representation(data: dict) -> RepresentationSpec:
     a = _as_number(data.get("a", 0.0), "$.a")
     A = _as_matrix(_get(data, "A", "$"), "$.A")
     v = _as_vector(_get(data, "v", "$"), "$.v")
-    Y = data.get("Y")
-    P = data.get("P")
+    Y = _as_matrix_list(data.get("Y"), "$.Y")
+    P = _as_matrix_list(data.get("P"), "$.P")
     dimN = data.get("dimN")
-    if Y is not None:
-        if not isinstance(Y, list):
-            _fail("$.Y", "expected a list of matrices")
-        Y = tuple(_as_matrix(M, f"$.Y[{i}]") for i, M in enumerate(Y))
-    if P is not None:
-        if not isinstance(P, list):
-            _fail("$.P", "expected a list of matrices")
-        P = tuple(_as_matrix(M, f"$.P[{i}]") for i, M in enumerate(P))
     if dimN is not None:
         dimN = _as_int(dimN, "$.dimN")
     try:

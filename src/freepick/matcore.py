@@ -89,7 +89,7 @@ class PsdReport:
     tol_used: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixTuple:
     """A tuple X = (X_1, ..., X_d) of same-size square complex matrices.
 

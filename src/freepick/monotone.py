@@ -41,7 +41,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Refutation data: a unit vector u with u* M_k u = min_eig < -tol."""
 
@@ -50,7 +50,7 @@ class Witness:
     min_eig: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalizingCertificate:
     d: int
     degree: int
@@ -105,7 +105,7 @@ def certify_monotone(f: FreeSeries, L: int, tol: float = DEFAULT_PSD_TOL) -> Loc
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamburgerModel:
     """PSD square roots F_k of the localizing matrices at degree L.
 
@@ -154,7 +154,7 @@ def hamburger_factor(f: FreeSeries, L: int, tol: float = DEFAULT_PSD_TOL) -> Ham
     return HamburgerModel(degree=L, factors=tuple(factors), certificate=cert)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiCoordinate:
     k: int
     choi: np.ndarray
@@ -163,7 +163,7 @@ class ChoiCoordinate:
     reconstruction_residual: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiReport:
     coordinates: tuple[ChoiCoordinate, ...]
 

@@ -85,7 +85,7 @@ def _check_hermitian(A: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not Hermitian within {STRUCTURE_TOL:g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationSpec(PencilScaffold):
     """Data of a type 1-4 Nevanlinna representation on C^m.
 
@@ -309,6 +309,8 @@ class AsymptoticProbe:
 
 def asymptotic_probe(evaluator: Callable[[complex], complex], smax: float = 2.0**20) -> AsymptoticProbe:
     """Probe a scalar-level evaluator h along is for s = 1, 2, 4, ... <= smax."""
+    if not (math.isfinite(smax) and smax >= 1):
+        raise ValueError(f"smax must be finite and at least 1, got {smax}")
     grid: list[float] = []
     s = 1.0
     while s <= smax:

@@ -117,9 +117,7 @@ class FreeSeries:
         return SplitList(
             letter=letters[row, col],
             pos_i=backward[row, width - len_i],
-            len_i=len_i,
             pos_j=forward[row, col + 1],
-            len_j=width - 1 - col,
             coeff=self.values[row],
         )
 
@@ -217,15 +215,15 @@ class TrieLevel(NamedTuple):
 class SplitList(NamedTuple):
     """One row per stored word w and letter position: w = I* x_k J.
 
-    Row r has k = letter[r], pos I, |I|, pos J, |J| and c_w. Each (I, k, J)
-    names one word, so no two rows of one letter share a cell (pos I, pos J).
+    Row r has k = letter[r], pos I, pos J and c_w. Each (I, k, J) names one
+    word, so no two rows of one letter share a cell (pos I, pos J). In
+    graded-lex order pos u < word_count(d, L) exactly when |u| <= L, so the
+    positions also carry the lengths.
     """
 
     letter: np.ndarray
     pos_i: np.ndarray
-    len_i: np.ndarray
     pos_j: np.ndarray
-    len_j: np.ndarray
     coeff: np.ndarray
 
 
@@ -286,7 +284,7 @@ def require_real_free(f: FreeSeries, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
     """Truncated value plus an operator-norm bound on the omitted tail.
 
@@ -363,8 +361,9 @@ def localizing_matrix(f: FreeSeries, k: int, L: int, budget: int = W.WORD_BUDGET
         raise ValueError(f"letter k={k} is outside 1..{f.d}")
     order = W.enumerate_words(f.d, L, budget=budget)
     s = f.splits
-    pick = (s.letter == k) & (s.len_i <= L) & (s.len_j <= L)
-    M = np.zeros((len(order), len(order)), dtype=np.complex128)
+    count = len(order)
+    pick = (s.letter == k) & (s.pos_i < count) & (s.pos_j < count)
+    M = np.zeros((count, count), dtype=np.complex128)
     M[s.pos_i[pick], s.pos_j[pick]] = s.coeff[pick]
     return M
 

@@ -271,14 +271,25 @@ def test_axioms_requires_exactly_one_subject(fixtures_dir):
     assert "exactly one" in both.stderr
 
 
-def test_rep_eval_rejects_model_file(fixtures_dir):
-    proc = run(
-        "rep-eval",
-        "--rep", fx(fixtures_dir, "moebius_model.json"),
-        "--point", fx(fixtures_dir, "pi2_point.json"),
-    )
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rep-eval", "--rep", "moebius_model.json", "--point", "pi2_point.json"],
+         "rep-eval needs a representation file, not a model"),
+        (["rep-classify", "--rep", "moebius_model.json"],
+         "rep-classify needs a representation file, not a model"),
+        (["axioms", "--rep", "moebius_model.json"],
+         "axioms --rep needs a representation file, not a model"),
+        (["herglotz-eval", "--model", "type1_rep.json", "--point", "half_scalar_point.json"],
+         "herglotz-eval needs a model file, not a representation"),
+    ],
+    ids=["rep-eval", "rep-classify", "axioms-rep", "herglotz-eval"],
+)
+def test_wrong_spec_file_exits_one(fixtures_dir, argv, message):
+    proc = run(*(fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv))
     assert proc.returncode == 1
-    assert "representation" in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"freepick: {message}\n"
 
 
 def test_bad_config_exits_one(fixtures_dir):
@@ -289,6 +300,36 @@ def test_bad_config_exits_one(fixtures_dir):
     )
     assert proc.returncode == 1
     assert "positive" in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_nonfinite_tol_exits_one(fixtures_dir, tol):
+    proc = run("monotone", "--series", fx(fixtures_dir, "x3_series.json"), "--tol", tol)
+    assert proc.returncode == 1
+    assert proc.stderr == "freepick: tol must be finite\n"
+
+
+def test_smax_below_one_exits_one(fixtures_dir):
+    proc = run("rep-classify", "--rep", fx(fixtures_dir, "type1_rep.json"), "--smax", "0.5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "freepick: smax must be finite and at least 1, got 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"real_free": "no"}, "$.real_free: expected a boolean, got str"),
+        ({"terms": [{"word": [1, 1, 1], "re": 10**400}]}, "$.terms[0].re: number is too large for a float"),
+    ],
+    ids=["real-free-string", "huge-integer"],
+)
+def test_series_schema_holes_exit_one(fixtures_dir, tmp_path, patch, message):
+    bad = tmp_path / "series.json"
+    bad.write_text(json.dumps({**json.loads((fixtures_dir / "x3_series.json").read_text()), **patch}))
+    proc = run("eval", "--series", str(bad), "--point", fx(fixtures_dir, "x_point.json"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"freepick: {message}\n"
 
 
 # ------------------------------------------------------------- report plumbing

@@ -76,6 +76,17 @@ def test_model_rejects_nonfinite_shift(bad):
         HerglotzModel(d=1, m=1, U=np.eye(1), v=np.array([1.0]), a=bad)
 
 
+def test_array_holding_objects_compare_by_identity():
+    # generated field equality would compare the ndarray fields and raise
+    for make in (
+        lambda: scalar_model(1j),
+        lambda: MatrixTuple((np.eye(2),)),
+        lambda: RepresentationSpec(kind=1, a=0.0, m=1, A=np.eye(1), v=np.ones(1), Y=(np.eye(1),)),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b}) == 2
+
+
 # --------------------------------------------------------------------- delta
 
 

@@ -123,6 +123,25 @@ def test_nonfinite_number_rejected(tmp_path):
         parse_tuple(str(p))
 
 
+def test_integer_past_float_range_names_path(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text('{"d": 1, "degree": 1, "terms": [{"word": [1], "re": 1' + "0" * 400 + "}]}")
+    with pytest.raises(SchemaError, match=r"^\$\.terms\[0\]\.re: number is too large for a float$"):
+        parse_series(str(p))
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_real_free_must_be_boolean(tmp_path, fixtures_dir, flag):
+    data = json.loads((fixtures_dir / "x3_series.json").read_text())
+    data["real_free"] = flag
+    with pytest.raises(SchemaError, match=r"^\$\.real_free: expected a boolean, got "):
+        parse_series(write(tmp_path, "s.json", data))
+    data["real_free"] = False
+    assert not parse_series(write(tmp_path, "s.json", data)).real_free
+    del data["real_free"]
+    assert not parse_series(write(tmp_path, "s.json", data)).real_free
+
+
 def test_missing_file_is_schema_error():
     with pytest.raises(SchemaError, match="cannot read"):
         parse_tuple("/nonexistent/nowhere.json")

@@ -239,6 +239,12 @@ def test_probe_grid_is_geometric():
     assert probe.grid == (1.0, 2.0, 4.0, 8.0)
 
 
+@pytest.mark.parametrize("smax", [float("inf"), float("nan"), 0.5])
+def test_probe_needs_a_finite_horizon_of_at_least_one(smax):
+    with pytest.raises(ValueError, match="smax must be finite and at least 1"):
+        asymptotic_probe(scalar_evaluator(scalar_spec(1, 2.0)), smax=smax)
+
+
 def test_bounded_resolvent_classifies_first():
     probe = asymptotic_probe(scalar_evaluator(diag_spec(1)))
     verdict = classify_type(probe)
