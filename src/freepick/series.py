@@ -125,67 +125,77 @@ class FreeSeries:
     def suffix_trie(self) -> tuple[TrieLevel, ...]:
         """The suffixes of the stored words as a trie, one TrieLevel per depth.
 
-        Depth l holds every distinct suffix s of length l (depth 0 is the
-        empty word, the root). The parent of x_k s is s. Sorting the rows of
-        the right-aligned letter array by their words read right to left
-        lists each depth parent-major and then by letter, so node ids are the
-        dense ranks of parent_id * d + letter, and a stored word s comes
-        first among the rows that end in s. Built from the letters, not from
-        the int64 word keys, so it has no degree limit.
+        Depth l lists every distinct suffix s of length l (depth 0 is the
+        empty word, the root) in lexicographic order, read left to right. The
+        parent of x_k s is s, so the nodes of each letter form one run and
+        their parents ascend within it.
+
+        Built from the letters, not from the int64 word keys, so it has no
+        degree limit. The right-aligned letter array is cut into chunks of
+        span columns. Read in base d + 1, the letters of a suffix that fall in
+        its first chunk form a number that orders such pieces by length and
+        then lexicographically, since no letter is 0. One argsort per chunk,
+        from the last chunk to the first, ranks the suffixes that start in it
+        by that number times the node count so far plus the node of the rest
+        of the suffix, and equal keys are one node. span is small enough for
+        that key to fit int64.
         """
         root = self.coeffs.get(W.EMPTY)
-        root_coeff = None if root is None else np.array([root])
-        levels = [TrieLevel(size=1, coeff=root_coeff, letter=0, parent=None, first=None, more=())]
-        width = max(map(len, self.coeffs), default=0)
+        levels = [TrieLevel(size=1, coeff=None if root is None else np.array([root]), blocks=())]
+        lengths = set(map(len, self.coeffs))
+        width = max(lengths, default=0)
         if width == 0:
             return tuple(levels)
-        letters = W.letter_array(self.coeffs, width)
-        order = np.lexsort(letters.T)
-        letters = letters[order]
-        length = np.count_nonzero(letters, axis=1)
-        # column l stands for depth l; opens[r, l]: row r is the first row
-        # whose suffix of length l is its node (only row 0 at the root)
-        opens = np.zeros((len(order), width + 1), dtype=bool)
-        opens[0] = True
-        opens[1:, 1:] = np.logical_or.accumulate(letters[1:, ::-1] != letters[:-1, ::-1], axis=1)
-        opens &= length[:, None] >= np.arange(width + 1)
-        node_of = np.cumsum(opens, axis=0) - 1
-        depth, row = np.nonzero(opens[:, 1:].T)
-        depth += 1
-        stored = length[row] == depth
-        coeff = np.where(stored, self.values[order][row], 0)
-        letter = letters[row, width - depth] - 1
-        parent = node_of[row, depth - 1]
-        # siblings (nodes of one depth with one parent) form a run; rank counts within it
-        starts = np.ones(len(row), dtype=bool)
-        starts[1:] = (parent[1:] != parent[:-1]) | (depth[1:] != depth[:-1])
-        run = np.cumsum(starts) - 1
-        rank = np.arange(len(row)) - np.flatnonzero(starts)[run]
-        size = np.bincount(depth)
-        offs = np.cumsum(size) - size
-        runs = np.bincount(depth[starts]).tolist()
-        low = [0] + np.minimum.reduceat(letter, offs[1:]).tolist()
-        high = [0] + np.maximum.reduceat(letter, offs[1:]).tolist()
-        held = np.bincount(depth[stored], minlength=width + 1).tolist()
-        size, offs = [1] + size[1:].tolist(), offs.tolist() + [len(row)]
+        m = len(self.coeffs)
+        base = self.d + 1
+        fit = (63 - (m * width + 1).bit_length()) // self.d.bit_length()
+        chunks = -(-width // fit)
+        span = -(-width // chunks)
+        cols = chunks * span
+        letters = W.letter_array(self.coeffs, cols)
+        grid = letters.reshape(m, chunks, span)
+        # part[r, c]: the letters of row r from column c to the end of its chunk
+        part = (grid * base ** np.arange(span - 1, -1, -1))[:, :, ::-1].cumsum(axis=2)
+        part = part[:, :, ::-1].reshape(m, cols)
+        node = np.zeros((m, cols + 1), dtype=np.int64)  # node id of the suffix at (row, col)
+        count, rep_r, rep_c = 1, [], []
+        for q in reversed(range(chunks)):
+            at = slice(q * span, (q + 1) * span)
+            held = grid[:, q] != 0
+            key = (part[:, at] * count + node[:, at.stop, None])[held]
+            order = key.argsort()
+            key = key[order]
+            new = np.ones(len(key), dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            ids = np.empty_like(order)
+            ids[order] = new.cumsum() + (count - 1)
+            node[:, at][held] = ids
+            count = int(ids.max()) + 1
+            r, c = np.divmod(held.ravel().nonzero()[0][order[new]], span)
+            rep_r.append(r)
+            rep_c.append(c + at.start)
+        r, c = np.concatenate(rep_r), np.concatenate(rep_c)
+        depth = cols - c
+        size = np.bincount(depth, minlength=width + 1)
+        size[0] = 1
+        first = size.cumsum() - size  # the id of the first node of each depth
+        parent = node[r, c + 1] - first[depth - 1]
+        coeff = np.zeros(count, dtype=np.complex128)
+        # ids grow with depth, so a row's largest id is its whole word
+        coeff[node.max(axis=1)] = self.values
+        # node i has id i + 1; each run of one depth and one letter is a block
+        run = depth * base + letters[r, c] - 1
+        starts = [0] + ((run[1:] != run[:-1]).nonzero()[0] + 1).tolist()
+        stops, run = starts[1:] + [count - 1], run.tolist()
+        size, first = size.tolist(), first.tolist()
+        blocks = [[] for _ in range(width + 1)]
+        for a, b in zip(starts, stops):
+            l, k = divmod(run[a], base)
+            at = first[l] - 1
+            blocks[l].append((k, a - at, b - at, None if b - a == size[l - 1] else parent[a:b]))
         for l in range(1, width + 1):
-            at = slice(offs[l], offs[l + 1])
-            first, more = None, []
-            if runs[l] < size[l]:
-                first = np.flatnonzero(starts[at])
-                for j in range(1, rank[at].max() + 1):
-                    nodes = np.flatnonzero(rank[at] == j)
-                    more.append((None if len(nodes) == runs[l] else run[at][nodes] - run[offs[l]], nodes))
-            levels.append(
-                TrieLevel(
-                    size=size[l],
-                    coeff=coeff[at] if held[l] else None,
-                    letter=low[l] if low[l] == high[l] else letter[at],
-                    parent=None if runs[l] == size[l - 1] else parent[at][starts[at]],
-                    first=first,
-                    more=tuple(more),
-                )
-            )
+            at = slice(first[l], first[l] + size[l])
+            levels.append(TrieLevel(size[l], coeff[at] if l in lengths else None, tuple(blocks[l])))
         return tuple(levels)
 
 
@@ -196,20 +206,15 @@ class TrieLevel(NamedTuple):
     :param size: the number of nodes.
     :param coeff: c_s of each node s, 0 where s is not a stored word; None
         when no node is.
-    :param letter: k - 1 of each node x_k t, or one int when all agree.
-    :param parent: the parent of each run of siblings; None when every node
-        one depth up has children, so run i belongs to node i.
-    :param first: the first node of each run; None when every run is one node.
-    :param more: per sibling rank j >= 1, (runs with a j-th sibling, or None
-        for all of them; those siblings).
+    :param blocks: one (k - 1, start, stop, parents) per letter x_k that
+        begins a node, in letter order: nodes start..stop - 1 are the x_k t,
+        and parents holds the node of each t one depth up, ascending. It is
+        None when the block holds exactly one child of every parent, in order.
     """
 
     size: int
     coeff: np.ndarray | None
-    letter: np.ndarray | int
-    parent: np.ndarray | None
-    first: np.ndarray | None
-    more: tuple[tuple[np.ndarray | None, np.ndarray], ...]
+    blocks: tuple[tuple[int, int, int, np.ndarray | None], ...]
 
 
 class SplitList(NamedTuple):
@@ -307,47 +312,74 @@ def tail_bound(f: FreeSeries, X: MatrixTuple) -> float:
 
 
 def _add_scalars(U: np.ndarray, c: np.ndarray | None) -> None:
-    """U[i] += c[i] I in place. Every stack here is a fresh C-contiguous
-    array, so the reshape is a view of U."""
+    """Add c[i] I to the rows of node i, in place.
+
+    U is the (len(c) * rows, N) state of :func:`_horner`, rows <= N, so c[i]
+    lands on the diagonal of rows i * rows .. (i + 1) * rows - 1. Every state
+    is a fresh C-contiguous array, so the reshape is a view of U; its sizes
+    are explicit, so that N = 0 works too."""
     if c is not None:
-        U.reshape(len(U), -1)[:, :: U.shape[-1] + 1] += c[:, None]
+        m = len(c)
+        U.reshape(m, U.size // m)[:, :: U.shape[1] + 1] += c[:, None]
+
+
+def _horner(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray:
+    """The first `rows` rows of f at the (d, N, N) point, as a (rows, N) array.
+
+    A right Horner pass over the suffix trie: U_s = c_s I + sum_k U_{x_k s} X_k
+    from the deepest level up, so that U_e = f(X). Only the first rows of
+    each U_s are carried, stacked node by node, so the rows of one letter's
+    nodes are contiguous and each block of a level is one GEMM on them.
+
+    The products fold into the parents in letter order: each parent takes
+    its first product as it is and adds the others to it. A parent that no
+    block reaches stays +0.0, and one that a later block reaches first
+    starts at -0.0, the one value that adding a product to leaves exactly
+    that product, signed zeros included.
+    """
+    trie = f.suffix_trie
+    N = point.shape[-1]
+    U = np.zeros((trie[-1].size * rows, N), dtype=np.complex128)
+    for depth in range(len(trie) - 1, 0, -1):
+        level = trie[depth]
+        _add_scalars(U, level.coeff)
+        V = None
+        for letter, a, b, parents in level.blocks:
+            P = (U if b - a == level.size else U[a * rows : b * rows]) @ point[letter]
+            if parents is None:
+                if V is None:
+                    V = P
+                else:
+                    V += P
+                continue
+            up = trie[depth - 1].size
+            if V is None:
+                V = np.zeros((up * rows, N), dtype=np.complex128)
+                for *_, later in level.blocks[1:]:
+                    V.reshape(up, rows * N)[slice(None) if later is None else later] = -0.0
+                V.reshape(up, rows * N)[parents] = P.reshape(b - a, rows * N)
+            else:
+                V.reshape(up, rows * N)[parents] += P.reshape(b - a, rows * N)
+        U = V
+    _add_scalars(U, trie[0].coeff)
+    return U
 
 
 def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
     """f(X) = sum_{|I| <= degree} c_I X^I with the geometric tail bound.
 
-    A right Horner pass over the suffix trie: U_s = c_s I + sum_k U_{x_k s} X_k
-    from the deepest level up, so that U_e = f(X). Each level is one batched
-    product U @ X_letter over its nodes, then a sum over each parent's
-    children, one gather-add per sibling rank.
+    One right Horner pass over the suffix trie (see :func:`_horner`): each
+    level is one GEMM per letter over that letter's nodes.
     """
     if f.d != X.d:
         raise ValueError(f"series in {f.d} letters evaluated at a {X.d}-tuple")
-    n = X.n
-    mats = np.stack(X.mats)
-    trie = f.suffix_trie
-    U = np.zeros((trie[-1].size, n, n), dtype=np.complex128)
-    for depth in range(len(trie) - 1, 0, -1):
-        level = trie[depth]
-        _add_scalars(U, level.coeff)
-        P = U @ mats[level.letter]
-        U = P if level.first is None else P[level.first]
-        for runs, nodes in level.more:
-            if runs is None:
-                U += P[nodes]
-            else:
-                U[runs] += P[nodes]
-        if level.parent is not None:
-            U, children = np.zeros((trie[depth - 1].size, n, n), dtype=np.complex128), U
-            U[level.parent] = children
-    _add_scalars(U, trie[0].coeff)
-    return EvalResult(value=U[0], tail_bound=tail_bound(f, X))
+    return EvalResult(value=_horner(f, np.stack(X.mats), X.n), tail_bound=tail_bound(f, X))
 
 
 def monomial_vector(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
     """The stacked monomial vector m_X: block-row I is X^I in canonical order."""
     order = W.enumerate_words(X.d, L, budget=budget)
-    return W.monomial_stack(X, order).reshape(-1, X.n)
+    return W.monomial_stack(X, order).reshape(len(order) * X.n, X.n)
 
 
 def localizing_matrix(f: FreeSeries, k: int, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
@@ -393,8 +425,10 @@ def derivative(
 ) -> np.ndarray:
     """Directional derivative Df(X)[H], by one of three routes.
 
-    - block: evaluate f at the 2n x 2n tuple [[X_i, H_i], [0, X_i]] and read
-      the upper-right n x n corner;
+    - block: f at the 2n x 2n tuple [[X_i, H_i], [0, X_i]] is
+      [[f(X), Df(X)[H]], [0, f(X)]]; the Horner pass carries only its top
+      block row, since the lower one is always [0, A], and reads the
+      upper-right n x n corner;
     - localizing: Df(X)[H] = sum_k sum_{I,J} c_{I* x_k J} X^{I*} H_k X^J,
       the coefficient-pencil formula, contracted as sum_k sum_I X^{I*} H_k T_I
       with T_I = sum_J c_{I* x_k J} X^J (see :func:`pencil_contraction`);
@@ -410,13 +444,11 @@ def derivative(
         raise ValueError(f"mismatched sizes: X is {X.n} x {X.n}, H is {H.n} x {H.n}")
     if method == BLOCK:
         n = X.n
-        big = MatrixTuple(
-            tuple(
-                np.block([[Xi, Hi], [np.zeros((n, n)), Xi]])
-                for Xi, Hi in zip(X.mats, H.mats)
-            )
-        )
-        return eval_series(f, big).value[:n, n:]
+        zero = np.zeros((n, n))
+        big = np.stack([np.block([[Xi, Hi], [zero, Xi]]) for Xi, Hi in zip(X.mats, H.mats)])
+        # a one-row product goes through numpy's gemv, which rounds apart
+        # from the gemm of the full pass, so at n = 1 both rows are carried
+        return _horner(f, big, n if n > 1 else 2 * n)[:n, n:]
     if method == LOCALIZING:
         if f.decay_rate is not None and X.max_norm() * f.d >= 1:
             warnings.warn(

@@ -19,6 +19,7 @@ wrapping.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,26 @@ def word_count(d: int, L: int) -> int:
     if d == 1:
         return L + 1
     return (d ** (L + 1) - 1) // (d - 1)
+
+
+def max_degree(d: int, limit: int) -> int:
+    """The largest L with word_count(d, L) <= limit, or -1 when there is none.
+
+    For d >= 2 that is one less than the largest e with d^e <= limit (d - 1)
+    + 1. A float logarithm finds e to within one and integer powers no
+    larger than that bound settle it, so no count past the limit is built.
+    """
+    if limit < 1:
+        return -1
+    if d == 1:
+        return limit - 1
+    top = limit * (d - 1) + 1
+    e = int(math.log(top, d))
+    while d ** (e + 1) <= top:
+        e += 1
+    while d**e > top:
+        e -= 1
+    return e - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +97,16 @@ def enumerate_words(d: int, L: int, budget: int = WORD_BUDGET) -> WordOrder:
     """All words of length <= L in graded-lex order.
 
     :raises BudgetError: when the count would exceed the budget; the message
-        names the offending count so callers can lower the degree.
+        names the degree and the largest degree within the budget, so callers
+        can lower it.
     """
     if d < 1 or L < 0:
         raise ValueError(f"enumerate_words needs d >= 1 and L >= 0, got d={d}, L={L}")
-    count = word_count(d, L)
-    if count > budget:
+    top = max_degree(d, budget)
+    if L > top:
         raise BudgetError(
-            f"{count} words of length <= {L} in {d} letters exceed the budget of {budget}"
+            f"words of length <= {L} in {d} letters exceed the budget of {budget} words; "
+            f"the largest degree within it is {top}"
         )
     words: list[Word] = []
     for length in range(L + 1):
@@ -128,11 +151,11 @@ def suffix_positions(d: int, letters: np.ndarray) -> np.ndarray:
     :raises ValueError: when word_count(d, width) passes the int64 range.
     """
     m, width = letters.shape
-    count = word_count(d, width)
-    if count > KEY_LIMIT:
+    top = max_degree(d, KEY_LIMIT)
+    if width > top:
         raise ValueError(
             f"word keys overflow int64 for d={d} at degree {width} "
-            f"({count} words > {KEY_LIMIT})"
+            f"(the largest degree that fits is {top})"
         )
     weights = np.array([d ** (width - 1 - c) for c in range(width)], dtype=np.int64)
     offsets = np.array([word_count(d, width - c - 1) for c in range(width + 1)], dtype=np.int64)
@@ -174,7 +197,7 @@ def monomial_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
     mats = np.stack(X.mats)[:, None]
     levels = [np.eye(X.n, dtype=np.complex128)[None]]
     for _ in range(order.degree):
-        levels.append((mats @ levels[-1]).reshape(-1, X.n, X.n))
+        levels.append((mats @ levels[-1]).reshape(X.d * len(levels[-1]), X.n, X.n))
     return np.concatenate(levels)
 
 

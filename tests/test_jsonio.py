@@ -98,6 +98,15 @@ def test_word_keys_past_int64_are_a_schema_error(tmp_path):
         parse_series(write(tmp_path, "s.json", payload))
 
 
+def test_long_word_key_overflow_names_the_degrees(tmp_path):
+    # word_count(2, 15000) has more than 4300 digits; the message used to be
+    # Python's digit-limit error instead of the degrees
+    payload = {"d": 2, "degree": 15000, "real_free": True, "terms": [{"word": [1] * 15000, "re": 1.0}]}
+    message = r"^\$: word keys overflow int64 for d=2 at degree 15000 \(the largest degree that fits is 62\)$"
+    with pytest.raises(SchemaError, match=message):
+        parse_series(write(tmp_path, "s.json", payload))
+
+
 def test_ragged_matrix_names_row(tmp_path):
     payload = {"d": 1, "n": 2, "matrices": [[[1, 0], [1]]]}
     with pytest.raises(SchemaError, match=r"\$\.matrices\[0\]\[1\]"):

@@ -14,11 +14,19 @@ loops they replace: one coefficient lookup per pencil cell, and a walk over
 the stored words that judges each pair {w, w*} once. Both must agree
 exactly, not to a tolerance.
 
-eval_series is a right Horner pass over the series' suffix trie. Its oracle
-is the sum it replaces, sum_w c_w X^w with X^w from the suffix-sharing word
-evaluator; the two add the terms in different orders, so they agree to
-EVAL_RTOL rather than exactly.
+eval_series is a right Horner pass over the suffix trie, one GEMM per letter
+per level, and the block derivative carries only the top block row of that
+pass at [[X, H], [0, X]]. They have two oracles. One is the sum they
+replace, sum_w c_w X^w with X^w from the suffix-sharing word evaluator; the
+two add the terms in different orders, so they agree to EVAL_RTOL rather
+than exactly. The other is the earlier layout of the same pass: a trie
+ordered by the suffixes read right to left, one batched product per level
+over every node and a gather-add per sibling rank. That one adds the same
+terms in the same order, so it must agree bit for bit, signed zeros
+included.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,8 +37,10 @@ from freepick.matcore import MatrixTuple, sample
 from freepick.monotone import HamburgerModel, choi_at, hamburger_factor
 from freepick import words
 from freepick.series import (
+    METHODS,
     FreeSeries,
     SeriesDiagnostics,
+    TrieLevel,
     derivative,
     eval_series,
     localizing_matrix,
@@ -48,6 +58,105 @@ def word_sum(f: FreeSeries, X: MatrixTuple) -> np.ndarray:
     for w, c in f.coeffs.items():
         acc += c * vals[w]
     return acc
+
+
+class ColexLevel(NamedTuple):
+    """One depth of the right-to-left trie: letter is k - 1 per node or one
+    int, parent the parent of each sibling run (None when run i belongs to
+    node i), first the first node of each run (None when every run is one
+    node) and more, per sibling rank j >= 1, (runs with a j-th sibling or
+    None for all of them, those siblings)."""
+
+    size: int
+    coeff: np.ndarray | None
+    letter: np.ndarray | int
+    parent: np.ndarray | None
+    first: np.ndarray | None
+    more: tuple
+
+
+def colex_trie(f: FreeSeries) -> list[ColexLevel]:
+    """The suffix trie with each depth sorted by the suffixes read right to
+    left, so parent-major and then by letter."""
+    root = f.coeffs.get(())
+    levels = [ColexLevel(1, None if root is None else np.array([root]), 0, None, None, ())]
+    width = max(map(len, f.coeffs), default=0)
+    if width == 0:
+        return levels
+    letters = words.letter_array(f.coeffs, width)
+    order = np.lexsort(letters.T)
+    letters = letters[order]
+    length = np.count_nonzero(letters, axis=1)
+    opens = np.zeros((len(order), width + 1), dtype=bool)
+    opens[0] = True
+    opens[1:, 1:] = np.logical_or.accumulate(letters[1:, ::-1] != letters[:-1, ::-1], axis=1)
+    opens &= length[:, None] >= np.arange(width + 1)
+    node_of = np.cumsum(opens, axis=0) - 1
+    depth, row = np.nonzero(opens[:, 1:].T)
+    depth += 1
+    stored = length[row] == depth
+    coeff = np.where(stored, f.values[order][row], 0)
+    letter = letters[row, width - depth] - 1
+    parent = node_of[row, depth - 1]
+    starts = np.ones(len(row), dtype=bool)
+    starts[1:] = (parent[1:] != parent[:-1]) | (depth[1:] != depth[:-1])
+    run = np.cumsum(starts) - 1
+    rank = np.arange(len(row)) - np.flatnonzero(starts)[run]
+    size = np.bincount(depth)
+    offs = np.cumsum(size) - size
+    runs = np.bincount(depth[starts]).tolist()
+    low = [0] + np.minimum.reduceat(letter, offs[1:]).tolist()
+    high = [0] + np.maximum.reduceat(letter, offs[1:]).tolist()
+    held = np.bincount(depth[stored], minlength=width + 1).tolist()
+    size, offs = [1] + size[1:].tolist(), offs.tolist() + [len(row)]
+    for l in range(1, width + 1):
+        at = slice(offs[l], offs[l + 1])
+        first, more = None, []
+        if runs[l] < size[l]:
+            first = np.flatnonzero(starts[at])
+            for j in range(1, rank[at].max() + 1):
+                nodes = np.flatnonzero(rank[at] == j)
+                more.append((None if len(nodes) == runs[l] else run[at][nodes] - run[offs[l]], nodes))
+        levels.append(
+            ColexLevel(
+                size[l],
+                coeff[at] if held[l] else None,
+                low[l] if low[l] == high[l] else letter[at],
+                None if runs[l] == size[l - 1] else parent[at][starts[at]],
+                first,
+                tuple(more),
+            )
+        )
+    return levels
+
+
+def batched_horner(f: FreeSeries, X: MatrixTuple) -> np.ndarray:
+    """f(X) by the right Horner pass over colex_trie: per level one batched
+    product U @ X_letter over all nodes, then a gather-add per sibling rank."""
+
+    def add_scalars(U, c):
+        if c is not None:
+            U.reshape(len(U), -1)[:, :: U.shape[-1] + 1] += c[:, None]
+
+    n = X.n
+    mats = np.stack(X.mats)
+    trie = colex_trie(f)
+    U = np.zeros((trie[-1].size, n, n), dtype=np.complex128)
+    for depth in range(len(trie) - 1, 0, -1):
+        level = trie[depth]
+        add_scalars(U, level.coeff)
+        P = U @ mats[level.letter]
+        U = P if level.first is None else P[level.first]
+        for runs, nodes in level.more:
+            if runs is None:
+                U += P[nodes]
+            else:
+                U[runs] += P[nodes]
+        if level.parent is not None:
+            U, children = np.zeros((trie[depth - 1].size, n, n), dtype=np.complex128), U
+            U[level.parent] = children
+    add_scalars(U, trie[0].coeff)
+    return U[0]
 
 
 def dict_localizing_matrix(f: FreeSeries, k: int, L: int) -> np.ndarray:
@@ -127,10 +236,23 @@ def assert_rel_close(got: np.ndarray, want: np.ndarray, rtol: float = RTOL) -> N
     assert np.linalg.norm(got - want) <= rtol * scale
 
 
-def assert_eval_matches_word_sum(f: FreeSeries, X: MatrixTuple) -> None:
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """np.array_equal on the float64 words, so that -0.0 and 0.0 differ."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_eval_matches_oracles(f: FreeSeries, X: MatrixTuple) -> None:
+    """eval_series to the word sum, and eval_series and the block derivative
+    bit for bit to the batched Horner pass at X and at [[X, H], [0, X]]."""
     got = eval_series(f, X).value
     assert got.shape == (X.n, X.n) and got.dtype == np.complex128
     assert_rel_close(got, word_sum(f, X), EVAL_RTOL)
+    assert_same_bits(got, batched_horner(f, X))
+    H = general_tuple(X.n, X.d, np.random.default_rng(X.n))
+    want = batched_horner(f, block_point(X, H))[: X.n, X.n :]
+    assert_same_bits(derivative(f, X, H, method="block"), want)
 
 
 # ------------------------------------------------------------------ inputs
@@ -229,9 +351,9 @@ def test_eval_matches_word_sum_on_fixtures(x3_series, halfres_series, d2res_seri
     rng = np.random.default_rng(14)
     for f in (x3_series, halfres_series, d2res_series):
         for X in eval_points(f.d, rng):
-            assert_eval_matches_word_sum(f, X)
+            assert_eval_matches_oracles(f, X)
     X = hermitian_point(3, 1, 0.3, seed=1)
-    assert_eval_matches_word_sum(halfres_series, block_point(X, sample("psd_direction", 3, 1, seed=2)))
+    assert_eval_matches_oracles(halfres_series, block_point(X, sample("psd_direction", 3, 1, seed=2)))
 
 
 def test_eval_matches_word_sum_on_dense_series():
@@ -239,14 +361,14 @@ def test_eval_matches_word_sum_on_dense_series():
     for d, degree in ((1, 12), (2, 7), (3, 4)):
         f = random_dense(d, degree, rng)
         for X in eval_points(d, rng):
-            assert_eval_matches_word_sum(f, X)
+            assert_eval_matches_oracles(f, X)
 
 
 def test_eval_matches_word_sum_on_deep_sparse_series():
     rng = np.random.default_rng(16)
     f = deep_sparse(rng)
     for X in eval_points(2, rng):
-        assert_eval_matches_word_sum(f, X)
+        assert_eval_matches_oracles(f, X)
 
 
 def test_eval_past_the_key_limit_with_a_short_word():
@@ -256,7 +378,7 @@ def test_eval_past_the_key_limit_with_a_short_word():
         f.keys
     rng = np.random.default_rng(17)
     for X in eval_points(2, rng):
-        assert_eval_matches_word_sum(f, X)
+        assert_eval_matches_oracles(f, X)
     X = MatrixTuple((np.array([[0.5]]), np.array([[0.25]])))
     assert eval_series(f, X).value[0, 0] == pytest.approx(0.5**64 + 0.125 - 2.0 * 0.125**20 + 1j, rel=1e-15)
 
@@ -266,8 +388,37 @@ def test_eval_empty_and_zero_series():
     for d in (1, 2, 3):
         for X in eval_points(d, rng):
             for coeffs in ({}, {(): 0.0, (1,) * 3: 0.0}):
-                got = eval_series(FreeSeries(d=d, degree=3, coeffs=coeffs), X).value
-                assert np.array_equal(got, np.zeros((X.n, X.n)))
+                f = FreeSeries(d=d, degree=3, coeffs=coeffs)
+                assert np.array_equal(eval_series(f, X).value, np.zeros((X.n, X.n)))
+                assert_eval_matches_oracles(f, X)
+
+
+def test_eval_at_size_zero(x3_series, halfres_series, d2res_series):
+    rng = np.random.default_rng(23)
+    # the localizing route needs the words up to degree - 1, past the budget at degree 24
+    for f in (x3_series, halfres_series, d2res_series, random_dense(3, 3, rng), deep_sparse(rng)):
+        X = MatrixTuple(tuple(np.zeros((0, 0)) for _ in range(f.d)))
+        assert eval_series(f, X).value.shape == (0, 0)
+        for method in METHODS if f.degree < 24 else ("block", "fd"):
+            assert derivative(f, X, X, method=method).shape == (0, 0)
+
+
+def test_signed_zeros_match_the_batched_pass():
+    # diagonal points with zero entries make exact zeros, whose signs depend
+    # on the order of the adds; a parent that only a later letter reaches
+    # must take that letter's product as it is, not 0.0 plus it
+    rng = np.random.default_rng(24)
+    for _ in range(150):
+        d = int(rng.integers(2, 4))
+        stored = [tuple(int(x) for x in rng.integers(1, d + 1, size=int(rng.integers(0, 7)))) for _ in range(10)]
+        f = FreeSeries(d=d, degree=6, coeffs={w: float(rng.choice([-1.0, 0.5, 1.0])) for w in stored})
+        n = int(rng.integers(1, 4))
+        mats = []
+        for _ in range(d):
+            M = np.diag(rng.choice([-1.0, 0.0, 0.5, 1.0], size=n)).astype(np.complex128)
+            M[0, -1] += rng.choice([-0.5, 0.0, 0.5])
+            mats.append(M)
+        assert_eval_matches_oracles(f, MatrixTuple(tuple(mats)))
 
 
 def test_eval_with_zero_coefficients_and_unstored_suffixes():
@@ -285,35 +436,52 @@ def test_eval_with_zero_coefficients_and_unstored_suffixes():
     f = FreeSeries(d=3, degree=5, coeffs=coeffs)
     rng = np.random.default_rng(19)
     for X in eval_points(3, rng):
-        assert_eval_matches_word_sum(f, X)
+        assert_eval_matches_oracles(f, X)
 
 
 def trie_suffixes(f: FreeSeries) -> list[list[tuple]]:
-    """The word of every trie node, depth by depth, read back from the levels."""
+    """The word of every trie node, depth by depth, read back from the blocks."""
     out = [[()]]
     for level in f.suffix_trie[1:]:
-        first = np.arange(level.size) if level.first is None else level.first
-        run = np.searchsorted(first, np.arange(level.size), side="right") - 1
-        parent = run if level.parent is None else level.parent[run]
-        letter = np.broadcast_to(level.letter, (level.size,))
-        out.append([(int(k) + 1,) + out[-1][p] for k, p in zip(letter, parent)])
+        nodes = [None] * level.size
+        for k, a, b, parents in level.blocks:
+            ups = range(b - a) if parents is None else parents.tolist()
+            for i, p in zip(range(a, b), ups):
+                nodes[i] = (k + 1,) + out[-1][p]
+        out.append(nodes)
     return out
 
 
 def assert_minimal_trie(f: FreeSeries) -> None:
-    """One node per distinct suffix, ordered by the suffix read right to left
-    (parent first, then letter), carrying the stored coefficients."""
+    """One node per distinct suffix, in lexicographic order read left to
+    right, carrying the stored coefficients. The blocks of a depth are its
+    letter runs in letter order and cover it once; their parents ascend, and
+    parents is None exactly when a block holds one child of every parent."""
     suffixes = {w[len(w) - l :] for w in f.coeffs for l in range(len(w) + 1)} | {()}
+    trie = f.suffix_trie
     got = trie_suffixes(f)
     assert len(got) == max(map(len, suffixes)) + 1
-    for l, (nodes, level) in enumerate(zip(got, f.suffix_trie)):
-        assert nodes == sorted((s for s in suffixes if len(s) == l), key=lambda s: s[::-1])
+    assert trie[0].blocks == ()
+    for l, (nodes, level) in enumerate(zip(got, trie)):
+        assert nodes == sorted(s for s in suffixes if len(s) == l)
         assert level.size == len(nodes)
         stored = [s in f.coeffs for s in nodes]
         if level.coeff is None:
             assert not any(stored)
         else:
             assert level.coeff.tolist() == [f.coeff(s) for s in nodes]
+        if l == 0:
+            continue
+        letters = [k for k, _, _, _ in level.blocks]
+        assert letters == sorted(set(letters))
+        assert [a for _, a, _, _ in level.blocks] == [0] + [b for _, _, b, _ in level.blocks[:-1]]
+        assert level.blocks[-1][2] == level.size
+        for k, a, b, parents in level.blocks:
+            assert a < b and {s[0] for s in nodes[a:b]} == {k + 1}
+            if parents is None:
+                assert b - a == trie[l - 1].size
+            else:
+                assert b - a < trie[l - 1].size and np.all(np.diff(parents) > 0)
 
 
 def test_trie_is_minimal_and_ordered(x3_series, halfres_series, d2res_series):
@@ -323,6 +491,26 @@ def test_trie_is_minimal_and_ordered(x3_series, halfres_series, d2res_series):
     cases.append(FreeSeries(d=2, degree=3, coeffs={}))
     for f in cases:
         assert_minimal_trie(f)
+    assert TrieLevel._fields == ("size", "coeff", "blocks")
+    dense = random_dense(3, 3, rng)
+    assert all(parents is None for level in dense.suffix_trie for *_, parents in level.blocks)
+
+
+def test_trie_of_words_longer_than_one_chunk():
+    # a chunk holds at most (63 - bit_length(count * width + 1)) // bit_length(d)
+    # letters, so these words span several chunks; shared heads and tails make
+    # suffixes tie on their first chunk and differ in the rest
+    rng = np.random.default_rng(25)
+    for d in (1, 2, 3):
+        heads = [tuple(int(x) for x in rng.integers(1, d + 1, size=int(rng.integers(1, 40)))) for _ in range(3)]
+        tails = [tuple(int(x) for x in rng.integers(1, d + 1, size=int(rng.integers(30, 60)))) for _ in range(3)]
+        coeffs = {h + t: complex(rng.standard_normal(), rng.standard_normal()) for h in heads for t in tails}
+        f = FreeSeries(d=d, degree=100, coeffs=coeffs)
+        width = max(map(len, coeffs))
+        assert width > (63 - (len(coeffs) * width + 1).bit_length()) // d.bit_length()
+        assert_minimal_trie(f)
+        X = MatrixTuple(tuple(0.3 * M for M in general_tuple(2, d, rng).mats))
+        assert_eval_matches_oracles(f, X)
 
 
 def test_eval_builds_the_trie_once_per_series(d2res_series, monkeypatch):
@@ -520,7 +708,7 @@ def sparse_series(draw, real_free=False):
 @given(sparse_series(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32 - 1))
 def test_eval_oracle_hypothesis(f, n, seed):
     X = MatrixTuple(tuple(0.6 * M for M in general_tuple(n, f.d, np.random.default_rng(seed)).mats))
-    assert_eval_matches_word_sum(f, X)
+    assert_eval_matches_oracles(f, X)
     assert_minimal_trie(f)
 
 

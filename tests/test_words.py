@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freepick import words
 from freepick.matcore import BudgetError, MatrixTuple, haar_unitary, direct_sum, sample
 from freepick.words import (
+    KEY_LIMIT,
     EMPTY,
     check_alphabet,
     enumerate_words,
@@ -12,6 +14,7 @@ from freepick.words import (
     eval_words,
     involute,
     letter_array,
+    max_degree,
     monomial_stack,
     reversed_letters,
     suffix_positions,
@@ -68,9 +71,49 @@ def test_word_count_formula(d, L):
     assert len(enumerate_words(d, L)) == word_count(d, L)
 
 
-def test_budget_error_names_count():
-    with pytest.raises(BudgetError, match=str(word_count(10, 6))):
+def test_budget_error_names_degrees():
+    # word_count(10, 2) = 111 <= 1000 < word_count(10, 3) = 1111
+    message = r"^words of length <= 6 in 10 letters exceed the budget of 1000 words; the largest degree within it is 2$"
+    with pytest.raises(BudgetError, match=message):
         enumerate_words(10, 6, budget=1000)
+
+
+def test_budget_error_past_the_digit_limit(monkeypatch):
+    # word_count(2, 14284) has more than 4300 digits, so formatting it used to
+    # raise ValueError; word_count(2, 10**8) alone took about a second
+    def refuse(*args):
+        raise AssertionError("the budget check built a word count")
+
+    monkeypatch.setattr(words, "word_count", refuse)
+    for L in (14284, 10**8):
+        with pytest.raises(BudgetError, match=rf"^words of length <= {L} in 2 letters .* the largest degree within it is 15$"):
+            enumerate_words(2, L)
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
+def test_max_degree_is_the_largest_within_the_limit(d, limit):
+    top = max_degree(d, limit)
+    assert top >= -1
+    assert top == -1 or word_count(d, top) <= limit
+    assert word_count(d, top + 1) > limit
+
+
+def test_max_degree_at_the_edges():
+    assert (max_degree(2, KEY_LIMIT), max_degree(3, KEY_LIMIT)) == (62, 39)
+    assert max_degree(1, KEY_LIMIT) == KEY_LIMIT - 1
+    assert max_degree(2, 0) == max_degree(1, 0) == -1
+    # limits whose bound is an exact power, where log(243, 3) and
+    # log(1000, 10) come out just under 5 and 3
+    assert (max_degree(3, 121), max_degree(10, 111)) == (4, 2)
+    assert (max_degree(3, 120), max_degree(10, 110)) == (3, 1)
+    # and one just under a power, where log(2^60 - 1, 2) rounds up to 60
+    assert max_degree(2, 2**60 - 2) == 58
+
+
+def test_budget_admits_the_largest_degree_within_it():
+    assert len(enumerate_words(10, 2, budget=111)) == 111
+    with pytest.raises(BudgetError, match="the largest degree within it is 2$"):
+        enumerate_words(10, 3, budget=1110)
 
 
 def test_involution_fixtures():
