@@ -47,13 +47,35 @@ class SzegoFrame:
         return self.K[:, i * self.X.n + j]
 
 
-def szego_kernels(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> SzegoFrame:
+def _kernel_build(X: MatrixTuple, L: int, budget: int) -> tuple[W.WordOrder, np.ndarray, np.ndarray]:
+    """The word order, the kernel stack K and its Gram K*K: the one build
+    that szego_kernels and min_norm_interpolate share.
+
+    S is the unconjugated monomial stack, so K = conj(S) and K* = S^T: the
+    Gram reads S through a transposed view instead of a second conj copy.
+    """
     order = W.enumerate_words(X.d, L, budget=budget)
-    K = W.monomial_stack(X, order).conj().reshape(len(order), X.n * X.n)
-    gram = K.conj().T @ K
-    vals = la.eigvalsh(hermitianize(gram))
-    top = max(float(vals[-1]), 0.0)
-    rank = int(np.sum(vals > GRAM_RANK_RTOL * top)) if top > 0 else 0
+    S = W.monomial_stack(X, order).reshape(len(order), X.n * X.n)
+    K = S.conj()
+    return order, K, S.T @ K
+
+
+def _kept(vals: np.ndarray) -> np.ndarray:
+    """The Gram eigenvalues above GRAM_RANK_RTOL times the largest, the
+    largest read as 0 when it is negative or the spectrum is empty (n = 0)."""
+    top = max(float(vals[-1]), 0.0) if vals.size else 0.0
+    return vals > GRAM_RANK_RTOL * top
+
+
+def szego_kernels(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> SzegoFrame:
+    """The degree-L kernel frame at X, with the rank of its Gram.
+
+    The rank costs one eigvalsh of the n^2 x n^2 Gram; min_norm_interpolate
+    shares the kernel build but not that eigvalsh, since it never reads the
+    rank. An n = 0 tuple has the empty frame, of rank 0.
+    """
+    order, K, gram = _kernel_build(X, L, budget)
+    rank = int(np.count_nonzero(_kept(la.eigvalsh(hermitianize(gram)))))
     return SzegoFrame(X=X, degree=L, order=order, K=K, gram=gram, rank=rank)
 
 
@@ -77,17 +99,16 @@ def reproduce_check(frame: SzegoFrame, f: FreeSeries) -> float:
     return float(np.max(np.abs(via_kernels - direct)))
 
 
-def _gram_pinv(frame: SzegoFrame) -> np.ndarray:
-    vals, vecs = la.eigh(hermitianize(frame.gram))
-    top = max(float(vals[-1]), 0.0)
-    cutoff = GRAM_RANK_RTOL * top
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
+def _gram_pinv(gram: np.ndarray) -> np.ndarray:
+    vals, vecs = la.eigh(hermitianize(gram))
+    keep = _kept(vals)
+    inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     return (vecs * inv) @ vecs.conj().T
 
 
 def gram_projection(frame: SzegoFrame) -> np.ndarray:
     """Orthogonal projection of coefficient space onto the kernel span."""
-    return frame.K @ _gram_pinv(frame) @ frame.K.conj().T
+    return frame.K @ _gram_pinv(frame.gram) @ frame.K.conj().T
 
 
 def min_norm_interpolate(
@@ -95,25 +116,27 @@ def min_norm_interpolate(
 ) -> FreeSeries:
     """The minimum-norm degree-L series with f(X) = target.
 
-    Solves the normal equations through the Gram pseudo-inverse; a target
-    outside the kernel span (for a Jordan block, any nonzero (2,1) entry)
-    raises InfeasibleError carrying the residual.
+    Builds the kernels and their Gram as szego_kernels does, without its
+    rank eigvalsh, and solves the normal equations through one eigh-based
+    Gram pseudo-inverse. A target outside the kernel span (for a Jordan
+    block, any nonzero (2,1) entry) raises InfeasibleError carrying the
+    residual. The interpolant K g is read back through FreeSeries.from_vector,
+    so no per-word constructor loop runs; the 0 x 0 target at an n = 0 tuple
+    gives the empty series.
     """
     target = as_complex_matrix(target, "target")
     if target.shape != (X.n, X.n):
         raise ValueError(f"target must be {X.n}x{X.n}, got {target.shape}")
-    frame = szego_kernels(X, L, budget=budget)
+    order, K, gram = _kernel_build(X, L, budget)
     t = target.reshape(-1)
-    g = _gram_pinv(frame) @ t
-    residual = float(la.norm(frame.gram @ g - t))
+    g = _gram_pinv(gram) @ t
+    residual = float(la.norm(gram @ g - t))
     if residual > FEASIBILITY_RTOL * (1.0 + float(la.norm(t))):
         raise InfeasibleError(
             f"target is not in the kernel span at degree {L}: "
             f"normal-equation residual {residual:.3e}"
         )
-    c = frame.K @ g
-    coeffs = {w: v for w, v in zip(frame.order.words, c.tolist()) if v != 0.0}
-    return FreeSeries(d=X.d, degree=L, coeffs=coeffs)
+    return FreeSeries.from_vector(order, K @ g)
 
 
 def frame_export(frame: SzegoFrame) -> dict:

@@ -9,6 +9,7 @@ fixed radius convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,6 +71,29 @@ class FreeSeries:
         object.__setattr__(self, "coeffs", clean)
         if self.decay_rate is not None and not self.decay_rate > 0:
             raise ValueError("decay_rate must be positive when given")
+
+    @classmethod
+    def from_vector(cls, order: W.WordOrder, c: np.ndarray) -> FreeSeries:
+        """The series with coefficient c[i] at order.words[i], of degree
+        order.degree: the inverse of the dense coefficient vector over an order.
+
+        Only the nonzero entries are stored, in the order's order; exact zeros
+        of either sign are dropped, as in a dict built with `if v != 0.0`. The
+        words are the order's own, so their letters and lengths need no check
+        and only finiteness is checked, on the array, with the constructor's
+        message for the first bad word.
+        """
+        c = np.asarray(c, dtype=np.complex128)
+        if c.shape != (len(order),):
+            raise ValueError(f"coefficient vector of shape {c.shape} over an order of {len(order)} words")
+        bad = ~np.isfinite(c)
+        if bad.any():
+            raise ValueError(f"coefficient of {list(order.words[int(bad.argmax())])} is not finite")
+        keep = c != 0
+        coeffs = dict(zip(itertools.compress(order.words, keep.tolist()), c[keep].tolist()))
+        f = object.__new__(cls)
+        vars(f).update(d=order.d, degree=order.degree, coeffs=coeffs, real_free=False, decay_rate=None)
+        return f
 
     def coeff(self, w: W.Word) -> complex:
         return self.coeffs.get(w, 0.0 + 0.0j)

@@ -1,5 +1,7 @@
-"""Smoke-run the example scripts so the library names they import stay valid."""
+"""Smoke-run the example scripts so the library names they import stay valid,
+and check that the report comparison script finds differences."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -26,3 +28,59 @@ def test_script_runs(argv):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+
+def load_compare_reports():
+    spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "scripts" / "compare_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_reports_finds_no_difference_within_one_tree():
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_reports.py"), src, src],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "10 of 10 commands identical"
+    assert sum(line.startswith("same: interpolate ") for line in lines) == 2
+
+
+def test_compare_reports_reads_every_readme_example():
+    commands = load_compare_reports().readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "eval", "deriv", "monotone", "interpolate", "axioms", "rep-eval", "rep-classify", "herglotz-eval", "cayley",
+    ]
+    assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
+
+
+FIELDS = ("report", "stdout", "stderr", "exit code")
+
+
+@pytest.mark.parametrize("field", range(len(FIELDS)), ids=FIELDS)
+def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, capsys):
+    # the child runs are stubbed: tree b differs from tree a in one field of one command
+    module = load_compare_reports()
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        (tree / "freepick").mkdir(parents=True)
+        (tree / "freepick" / "__init__.py").touch()
+
+    def run(tree, argv):
+        out = [b"{}\n", "", "", 0]
+        if argv[0] == "cayley" and tree == trees[1]:
+            out[field] = (None, "x", "freepick: x\n", 1)[field]
+        return tuple(out)
+
+    monkeypatch.setattr(module, "run", run)
+    monkeypatch.setattr(sys, "argv", ["compare_reports.py", *map(str, trees)])
+    assert module.main() == 1
+    out = capsys.readouterr().out
+    assert f"differ ({FIELDS[field]}): cayley" in out
+    assert out.splitlines()[-1] == "9 of 10 commands identical"
