@@ -5,13 +5,15 @@ Usage:
     python3 scripts/compare_reports.py SRC_A SRC_B
 
 SRC_A and SRC_B are directories holding the freepick package (the src/ of
-two checkouts). Every CLI example in the README, plus `interpolate` at a
-generic two-letter point, runs once per tree in a child interpreter with
-PYTHONPATH set to that tree and one BLAS thread. Each run writes its report
-with --out to report.json in a fresh working directory of its own, so the
-argv is the same for both trees. The report bytes, stdout, stderr and exit
-code of the two runs are compared. One line per command says `same` or
-names what differs; the exit status is 1 when anything differs, else 0.
+two checkouts). Every CLI example in the README, the series commands of
+`series_commands` and `interpolate` at a generic two-letter point run once
+per tree in a child interpreter with PYTHONPATH set to that tree and one
+BLAS thread. Each run writes its report with --out to report.json in a
+fresh working directory of its own, so the argv is the same for both trees.
+The report bytes, stdout, stderr and exit code of the two runs are
+compared, with the tree's own path in stderr (a warning's source line)
+written as <src>. One line per command says `same` or names what differs;
+the exit status is 1 when anything differs, else 0.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # a generic point in two letters (full-rank kernels at degree 5) and a target
@@ -53,6 +56,25 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
+def series_commands(point: Path) -> list[list[str]]:
+    """The series commands past the README examples: eval and every deriv
+    method on halfres, monotone at several degrees (halfres at degree 5 is a
+    README example), eval on d2res at the generic point and an axioms fuzz."""
+
+    def fixture(name: str) -> str:
+        return str(FIXTURES / f"{name}.json")
+
+    halfres = ["--series", fixture("halfres_series"), "--point", fixture("x_point")]
+    commands = [["eval", *halfres]]
+    for method in ("block", "localizing", "fd"):
+        commands.append(["deriv", *halfres, "--direction", fixture("h_dir"), "--method", method])
+    for name, degree in (("x3_series", 1), ("halfres_series", 2), ("d2res_series", 3)):
+        commands.append(["monotone", "--series", fixture(name), "--degree", str(degree)])
+    commands.append(["eval", "--series", fixture("d2res_series"), "--point", str(point)])
+    commands.append(["axioms", "--series", fixture("halfres_series"), "--samples", "10"])
+    return commands
+
+
 def run(src: Path, argv: list[str]) -> tuple[bytes | None, str, str, int]:
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_ENV})
     with tempfile.TemporaryDirectory() as cwd:
@@ -66,7 +88,7 @@ def run(src: Path, argv: list[str]) -> tuple[bytes | None, str, str, int]:
         )
         out = Path(cwd) / "report.json"
         report = out.read_bytes() if out.exists() else None
-    return report, proc.stdout, proc.stderr, proc.returncode
+    return report, proc.stdout, proc.stderr.replace(str(src), "<src>"), proc.returncode
 
 
 def main() -> int:
@@ -82,7 +104,7 @@ def main() -> int:
         point, target = Path(tmp) / "generic_point.json", Path(tmp) / "generic_target.json"
         point.write_text(json.dumps(GENERIC_POINT), encoding="utf-8")
         target.write_text(json.dumps(GENERIC_TARGET), encoding="utf-8")
-        commands = readme_commands()
+        commands = readme_commands() + series_commands(point)
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
         differ = 0
         for argv in commands:

@@ -98,14 +98,19 @@ class FreeSeries:
     def coeff(self, w: W.Word) -> complex:
         return self.coeffs.get(w, 0.0 + 0.0j)
 
-    def _suffix_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The right-aligned letter array of the stored words (insertion
-        order), the column of each word's first letter, and the positions of
-        every suffix of each w and of each w*. Not cached: only the keys and
-        the split list derived from these tables are kept."""
+    @cached_property
+    def _letters(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one word table: the stored words as a right-aligned int64 letter
+        array (insertion order) and the column of each word's first letter."""
         width = max(map(len, self.coeffs), default=0)
         letters = W.letter_array(self.coeffs, width)
-        start = width - np.count_nonzero(letters, axis=1)
+        return letters, width - np.count_nonzero(letters, axis=1)
+
+    def _suffix_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The word table, then the positions of every suffix of each w and of
+        each w*. Not cached: only the keys and the split list derived from
+        these tables are kept."""
+        letters, start = self._letters
         forward = W.suffix_positions(self.d, letters)
         backward = W.suffix_positions(self.d, W.reversed_letters(letters))
         return letters, start, forward, backward
@@ -166,17 +171,18 @@ class FreeSeries:
         """
         root = self.coeffs.get(W.EMPTY)
         levels = [TrieLevel(size=1, coeff=None if root is None else np.array([root]), blocks=())]
-        lengths = set(map(len, self.coeffs))
-        width = max(lengths, default=0)
+        letters, start = self._letters
+        m, width = letters.shape
         if width == 0:
             return tuple(levels)
-        m = len(self.coeffs)
+        lengths = set((width - start).tolist())
         base = self.d + 1
         fit = (63 - (m * width + 1).bit_length()) // self.d.bit_length()
         chunks = -(-width // fit)
         span = -(-width // chunks)
         cols = chunks * span
-        letters = W.letter_array(self.coeffs, cols)
+        if cols > width:
+            letters = np.pad(letters, ((0, 0), (cols - width, 0)))
         grid = letters.reshape(m, chunks, span)
         # part[r, c]: the letters of row r from column c to the end of its chunk
         part = (grid * base ** np.arange(span - 1, -1, -1))[:, :, ::-1].cumsum(axis=2)
@@ -277,6 +283,8 @@ def validate(f: FreeSeries) -> SeriesDiagnostics:
     one searchsorted pass. Each pair {w, w*} is judged once, at its
     first-inserted word w, by |c_{w*} - conj(c_w)| > 1e-12 max(1, |c_w|)
     (c_{w*} = 0 when w* is not stored), and is reported at min(w, w*).
+    The decay scan flags every w with |c_w| > r^{-|w|} (1 + 1e-12); a bound
+    past the float range is inf and flags nothing.
     """
     sym: list[tuple[W.Word, float]] = []
     if f.real_free and f.coeffs:
@@ -295,10 +303,14 @@ def validate(f: FreeSeries) -> SeriesDiagnostics:
                 sym.append((w, float(gap[i])))
     decay: list[tuple[W.Word, float]] = []
     if f.decay_rate is not None:
-        for w, c in f.coeffs.items():
-            bound = f.decay_rate ** (-len(w))
-            if abs(c) > bound * (1 + 1e-12):
-                decay.append((w, float(abs(c) - bound)))
+        letters, start = f._letters
+        width = letters.shape[1]
+        # numpy scalar powers and hypot round as Python's ** and abs do
+        with np.errstate(over="ignore"):
+            bound = np.array([np.float64(f.decay_rate) ** -l for l in range(width + 1)])[width - start]
+        mag = np.hypot(f.values.real, f.values.imag)
+        bad = mag > bound * (1 + 1e-12)
+        decay = list(zip(itertools.compress(f.coeffs, bad.tolist()), (mag - bound)[bad].tolist()))
     return SeriesDiagnostics(tuple(sorted(sym)), tuple(sorted(decay)))
 
 
@@ -400,6 +412,7 @@ def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
     return EvalResult(value=_horner(f, np.stack(X.mats), X.n), tail_bound=tail_bound(f, X))
 
 
+# no library caller; kept because perfbench/spans.py traces it by name
 def monomial_vector(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
     """The stacked monomial vector m_X: block-row I is X^I in canonical order."""
     order = W.enumerate_words(X.d, L, budget=budget)

@@ -73,12 +73,6 @@ class WordOrder:
     def __len__(self) -> int:
         return len(self.words)
 
-    def position(self, w: Word) -> int:
-        alphabet = range(1, self.d + 1)
-        if len(w) > self.degree or not all(x in alphabet for x in w):
-            raise KeyError(f"word {list(w)} is not in the order (d={self.d}, degree={self.degree})")
-        return int(suffix_positions(self.d, letter_array([w], len(w)))[0, 0])
-
     def involution_positions(self) -> np.ndarray:
         """pos(w*) for every word w of the order, in order.
 
@@ -176,15 +170,6 @@ def check_alphabet(w: Word, d: int) -> None:
             raise ValueError(f"letter {letter} in word {list(w)} is outside 1..{d}")
 
 
-def eval_word(X: MatrixTuple, w: Word) -> np.ndarray:
-    """X^w, by the recursion X^e = I and X^{x_k w} = X_k X^w."""
-    check_alphabet(w, X.d)
-    out = np.eye(X.n, dtype=np.complex128)
-    for letter in reversed(w):
-        out = X.mats[letter - 1] @ out
-    return out
-
-
 def monomial_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
     """X^I for every word I of the order, as a (count, n, n) array.
 
@@ -201,6 +186,7 @@ def monomial_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
     return np.concatenate(levels)
 
 
+# no library caller; kept because perfbench/spans.py traces it by name
 def eval_words(X: MatrixTuple, words) -> dict[Word, np.ndarray]:
     """Values X^w for a sparse or deep set of words, sharing suffix products.
 

@@ -332,6 +332,21 @@ def test_series_schema_holes_exit_one(fixtures_dir, tmp_path, patch, message):
     assert proc.stderr == f"freepick: {message}\n"
 
 
+def test_decay_bound_past_the_float_range_runs(fixtures_dir, tmp_path):
+    # one 120-letter word at decay rate 0.001: its bound 1e360 passes the float range
+    from freepick import cli
+
+    deep = tmp_path / "deep.json"
+    terms = [{"word": [1] * 120, "re": 1.0}, {"word": [1], "re": 0.5}]
+    deep.write_text(json.dumps({"d": 1, "degree": 120, "real_free": True, "decay_rate": 0.001, "terms": terms}))
+    out = tmp_path / "report.json"
+    assert cli.main(["eval", "--series", str(deep), "--point", fx(fixtures_dir, "x_point.json"), "--out", str(out)]) == 0
+    value = as_matrix(json.loads(out.read_text())["value"])
+    np.testing.assert_allclose(value, 0.5 * np.ones((2, 2)) + 2.0**119 * np.ones((2, 2)))
+    assert cli.main(["monotone", "--series", str(deep), "--degree", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"]["verdict"] == "certified_psd"
+
+
 # ------------------------------------------------------------- report plumbing
 
 

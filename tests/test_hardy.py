@@ -48,7 +48,7 @@ def test_jordan_kernel_entries():
     frame = szego_kernels(jordan(), 8)
     for m in range(9):
         w = (1,) * m
-        idx = frame.order.position(w)
+        idx = frame.order.words.index(w)
         assert frame.kernel(0, 0)[idx] == pytest.approx(LAM**m)
         assert frame.kernel(0, 1)[idx] == pytest.approx(m * LAM**m)
     assert np.abs(frame.kernel(1, 0)).max() == 0
@@ -65,7 +65,7 @@ def test_zero_point_kernels_are_deltas():
     frame = szego_kernels(X, 2)
     assert frame.rank == 1
     e0 = np.zeros(len(frame.order))
-    e0[frame.order.position(())] = 1.0
+    e0[frame.order.words.index(())] = 1.0
     np.testing.assert_allclose(frame.kernel(0, 0), e0)
     np.testing.assert_allclose(frame.kernel(1, 1), e0)
     assert np.abs(frame.kernel(0, 1)).max() == 0

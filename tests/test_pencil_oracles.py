@@ -34,7 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freepick.matcore import MatrixTuple, sample
-from freepick.monotone import HamburgerModel, choi_at, hamburger_factor
+from freepick.jsonio import parse_series
+from freepick.monotone import HamburgerModel, certify_monotone, choi_at, hamburger_factor
 from freepick import words
 from freepick.series import (
     METHODS,
@@ -513,7 +514,7 @@ def test_trie_of_words_longer_than_one_chunk():
         assert_eval_matches_oracles(f, X)
 
 
-def test_eval_builds_the_trie_once_per_series(d2res_series, monkeypatch):
+def test_eval_builds_the_trie_once_per_series(d2res_series, fixtures_dir, monkeypatch):
     calls = []
     letter_array = words.letter_array
 
@@ -533,6 +534,18 @@ def test_eval_builds_the_trie_once_per_series(d2res_series, monkeypatch):
     assert len(calls) == 1
     FreeSeries(d=2, degree=f.degree, coeffs=f.coeffs).suffix_trie
     assert len(calls) == 2
+    # keys (validate), split list, trie and decay scan all read one word table
+    calls.clear()
+    g = parse_series(str(fixtures_dir / "d2res_series.json"))
+    assert g.real_free and g.decay_rate is not None and len(calls) == 1
+    certify_monotone(g, 3)
+    Y = hermitian_point(2, 2, 0.2, 3)
+    eval_series(g, Y)
+    for method in METHODS:
+        derivative(g, Y, H, method=method)
+    choi_at(g, Y)
+    assert validate(g).ok
+    assert len(calls) == 1
 
 
 def test_eval_letter_mismatch_message(x3_series):

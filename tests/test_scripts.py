@@ -30,7 +30,6 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
 
 
-
 def load_compare_reports():
     spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "scripts" / "compare_reports.py")
     module = importlib.util.module_from_spec(spec)
@@ -48,7 +47,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "10 of 10 commands identical"
+    assert lines[-1] == "19 of 19 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -58,6 +57,29 @@ def test_compare_reports_reads_every_readme_example():
         "eval", "deriv", "monotone", "interpolate", "axioms", "rep-eval", "rep-classify", "herglotz-eval", "cayley",
     ]
     assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
+
+
+def test_compare_reports_runs_the_series_commands(tmp_path):
+    module = load_compare_reports()
+    point = tmp_path / "generic_point.json"
+    commands = module.series_commands(point)
+    labels = [" ".join(pathlib.Path(a).stem if pathlib.Path(a).is_absolute() else a for a in argv) for argv in commands]
+    assert labels == [
+        "eval --series halfres_series --point x_point",
+        "deriv --series halfres_series --point x_point --direction h_dir --method block",
+        "deriv --series halfres_series --point x_point --direction h_dir --method localizing",
+        "deriv --series halfres_series --point x_point --direction h_dir --method fd",
+        "monotone --series x3_series --degree 1",
+        "monotone --series halfres_series --degree 2",
+        "monotone --series d2res_series --degree 3",
+        "eval --series d2res_series --point generic_point",
+        "axioms --series halfres_series --samples 10",
+    ]
+    assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
+    # halfres at degree 5 is a README example, so no command runs twice
+    readme = module.readme_commands()
+    assert ["monotone", "--series", str(ROOT / "tests" / "fixtures" / "halfres_series.json"), "--degree", "5"] in readme
+    assert not any(argv in readme for argv in commands)
 
 
 FIELDS = ("report", "stdout", "stderr", "exit code")
@@ -83,4 +105,4 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     assert module.main() == 1
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
-    assert out.splitlines()[-1] == "9 of 10 commands identical"
+    assert out.splitlines()[-1] == "18 of 19 commands identical"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,16 @@ def test_validate_flags_decay_violation():
     f = FreeSeries(d=1, degree=1, coeffs={(1,): 1.0}, decay_rate=2.0)
     diag = validate(f)
     assert diag.decay_violations == (((1,), pytest.approx(0.5)),)
+
+
+def test_validate_decay_bound_past_the_float_range():
+    # 0.001 ** -120 = 1e360 is no float: the bound reads inf and flags nothing
+    f = FreeSeries(d=1, degree=120, coeffs={(1,) * 120: 1.0, (1,): 5000.0, (): 0.5}, real_free=True, decay_rate=0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = validate(f)
+    assert diag.symmetry_violations == ()
+    assert diag.decay_violations == (((1,), 4000.0),)
 
 
 def test_validate_accepts_resolvent_decay(halfres_series, d2res_series):
