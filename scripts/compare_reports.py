@@ -6,10 +6,11 @@ Usage:
 
 SRC_A and SRC_B are directories holding the freepick package (the src/ of
 two checkouts). Every CLI example in the README, the series commands of
-`series_commands` and `interpolate` at a generic two-letter point run once
-per tree in a child interpreter with PYTHONPATH set to that tree and one
-BLAS thread. Each run writes its report with --out to report.json in a
-fresh working directory of its own, so the argv is the same for both trees.
+`series_commands`, the tuple commands of `tuple_commands` and `interpolate`
+at a generic two-letter point run once per tree in a child interpreter with
+PYTHONPATH set to that tree and one BLAS thread. Each run writes its report
+with --out to report.json in a fresh working directory of its own, so the
+argv is the same for both trees.
 The report bytes, stdout, stderr and exit code of the two runs are
 compared, with the tree's own path in stderr (a warning's source line)
 written as <src>. One line per command says `same` or names what differs;
@@ -75,6 +76,27 @@ def series_commands(point: Path) -> list[list[str]]:
     return commands
 
 
+def tuple_commands(point: Path) -> list[list[str]]:
+    """The commands past the README examples that stack, embed or transform
+    matrix tuples: axioms fuzzing (direct sums and conjugations) on a
+    kind-4 representation and on d2res up to size 3, the half-plane Cayley
+    direction, the block and fd derivatives in two letters, the resolvent
+    Herglotz form and a kind-4 representation at a two-letter point."""
+
+    def fixture(name: str) -> str:
+        return str(FIXTURES / f"{name}.json")
+
+    return [
+        ["axioms", "--rep", fixture("type4_rep"), "--samples", "10"],
+        ["axioms", "--series", fixture("d2res_series"), "--samples", "10", "--dim", "3"],
+        ["cayley", "--point", fixture("pi2_point"), "--direction", "half2disk"],
+        ["deriv", "--series", fixture("d2res_series"), "--point", str(point), "--direction", fixture("pi2_point"), "--method", "block"],
+        ["deriv", "--series", fixture("d2res_series"), "--point", str(point), "--direction", fixture("pi2_point"), "--method", "fd"],
+        ["herglotz-eval", "--model", fixture("moebius_model"), "--point", fixture("half_scalar_point"), "--method", "resolvent"],
+        ["rep-eval", "--rep", fixture("type4_rep"), "--point", fixture("pi2_point")],
+    ]
+
+
 def run(src: Path, argv: list[str]) -> tuple[bytes | None, str, str, int]:
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_ENV})
     with tempfile.TemporaryDirectory() as cwd:
@@ -104,7 +126,7 @@ def main() -> int:
         point, target = Path(tmp) / "generic_point.json", Path(tmp) / "generic_target.json"
         point.write_text(json.dumps(GENERIC_POINT), encoding="utf-8")
         target.write_text(json.dumps(GENERIC_TARGET), encoding="utf-8")
-        commands = readme_commands() + series_commands(point)
+        commands = readme_commands() + series_commands(point) + tuple_commands(point)
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
         differ = 0
         for argv in commands:

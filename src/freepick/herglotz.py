@@ -61,6 +61,7 @@ from .matcore import (
     checked_solve,
     pencil_terms,
     spectral_norm,
+    spectral_norms,
     stack_points,
 )
 
@@ -122,7 +123,7 @@ class HerglotzModel(PencilScaffold):
 
 
 def _require_strict_contractions(Xs: np.ndarray) -> None:
-    norms = la.svd(Xs, compute_uv=False)[..., 0]
+    norms = spectral_norms(Xs)
     bad = norms > 1.0 - CONTRACTION_MARGIN
     if bad.any():
         p, i = np.argwhere(bad)[0]

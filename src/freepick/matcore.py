@@ -6,7 +6,9 @@ Conventions used everywhere:
 - eigensolves act on the symmetrization (H + H*)/2, and asymmetry beyond
   1e-10 * ||H|| is an input error rather than something to fix silently;
 - PSD verdicts are relative: min_eig >= -tol * (1 + ||H||_2);
-- every inversion is guarded by a condition-number cutoff of 1e12.
+- every inversion is guarded by a condition-number cutoff of 1e12;
+- a point X = (X_1, ..., X_d) is a MatrixTuple, one (d, n, n) complex128
+  array copied at construction, so stacked routes read it as it is.
 
 All operations are pure given their inputs (and seed); values are treated as
 immutable after construction, so they are safe to share across threads.
@@ -67,10 +69,16 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def spectral_norms(S: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix in a stack (..., m, k), as
+    la.norm(M, 2) takes it, and 0 for an empty matrix."""
+    if S.size == 0:
+        return np.zeros(S.shape[:-2])
+    return la.svd(S, compute_uv=False).max(-1)
+
+
 def spectral_norm(M: np.ndarray) -> float:
-    if M.size == 0:
-        return 0.0
-    return float(la.norm(M, 2))
+    return float(spectral_norms(M))
 
 
 def hermitianize(M: np.ndarray) -> np.ndarray:
@@ -89,30 +97,37 @@ class PsdReport:
     tol_used: float
 
 
+def _reject_coordinates(mats) -> None:
+    """Raise the error for the first bad coordinate of a rejected tuple."""
+    coerced = [as_complex_matrix(M, name=f"coordinate {i + 1}") for i, M in enumerate(mats)]
+    if not coerced:
+        raise ValueError("a matrix tuple needs at least one coordinate")
+    n = coerced[0].shape[0]
+    for i, M in enumerate(coerced):
+        if M.shape != (n, n):
+            raise ValueError(f"coordinate {i + 1} has shape {M.shape}, expected ({n}, {n})")
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixTuple:
     """A tuple X = (X_1, ..., X_d) of same-size square complex matrices.
 
-    The evaluation point of everything in this package. Flags such as
-    self-adjointness are checked on demand rather than stored.
+    The evaluation point of everything in this package. mats is one
+    (d, n, n) complex128 array, copied from the input at construction, and
+    mats[i] is X_{i+1}. Flags such as self-adjointness are checked on demand
+    rather than stored.
     """
 
-    mats: tuple[np.ndarray, ...]
+    mats: np.ndarray
 
     def __post_init__(self) -> None:
-        coerced = tuple(
-            as_complex_matrix(M, name=f"coordinate {i + 1}")
-            for i, M in enumerate(self.mats)
-        )
-        if not coerced:
-            raise ValueError("a matrix tuple needs at least one coordinate")
-        n = coerced[0].shape[0]
-        for i, M in enumerate(coerced):
-            if M.shape != (n, n):
-                raise ValueError(
-                    f"coordinate {i + 1} has shape {M.shape}, expected ({n}, {n})"
-                )
-        object.__setattr__(self, "mats", coerced)
+        try:
+            S = np.array(self.mats, dtype=np.complex128)
+        except ValueError:  # coordinates of different shapes
+            S = None
+        if S is None or S.ndim != 3 or not len(S) or S.shape[1] != S.shape[2] or not np.isfinite(S).all():
+            _reject_coordinates(self.mats)
+        object.__setattr__(self, "mats", S)
 
     @property
     def d(self) -> int:
@@ -120,20 +135,19 @@ class MatrixTuple:
 
     @property
     def n(self) -> int:
-        return self.mats[0].shape[0]
+        return self.mats.shape[1]
 
     def adjoint(self) -> "MatrixTuple":
-        return MatrixTuple(tuple(M.conj().T for M in self.mats))
+        return MatrixTuple(self.mats.conj().swapaxes(1, 2))
 
     def is_selfadjoint(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        return all(
-            spectral_norm(M - M.conj().T) <= rtol * max(spectral_norm(M), 1.0)
-            for M in self.mats
-        )
+        S = self.mats
+        asym = spectral_norms(S - S.conj().swapaxes(1, 2))
+        return bool((asym <= rtol * np.maximum(spectral_norms(S), 1.0)).all())
 
     def max_norm(self) -> float:
         """max_i ||X_i||_2, the radius used by tail bounds."""
-        return max(spectral_norm(M) for M in self.mats)
+        return float(spectral_norms(self.mats).max())
 
 
 def imag_part(M) -> np.ndarray:
@@ -247,23 +261,15 @@ def pencil_terms(A: np.ndarray, Xs: np.ndarray) -> np.ndarray:
     return out.reshape(P, M * n, K * n)
 
 
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    m = sum(b.shape[1] for b in blocks)
-    out = np.zeros((n, m), dtype=np.complex128)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def direct_sum(X: MatrixTuple, Y: MatrixTuple) -> MatrixTuple:
     """Coordinate-wise block-diagonal tuple of size n_X + n_Y."""
     if X.d != Y.d:
         raise ValueError(f"direct_sum needs equal lengths, got d={X.d} and d={Y.d}")
-    return MatrixTuple(tuple(_block_diag(a, b) for a, b in zip(X.mats, Y.mats)))
+    n = X.n
+    out = np.zeros((X.d, n + Y.n, n + Y.n), dtype=np.complex128)
+    out[:, :n, :n] = X.mats
+    out[:, n:, n:] = Y.mats
+    return MatrixTuple(out)
 
 
 DISK_TO_HALF = "disk_to_half"
@@ -280,7 +286,7 @@ def cayley(P: MatrixTuple, direction: str) -> MatrixTuple:
     contractions to coordinates with positive-definite imaginary part.
     """
     eye = np.eye(P.n, dtype=np.complex128)
-    Xs = np.array(P.mats)
+    Xs = P.mats
     labels = range(1, P.d + 1)
     if direction == DISK_TO_HALF:
         what = [f"coordinate {i}: I - X_{i}" for i in labels]
@@ -292,7 +298,7 @@ def cayley(P: MatrixTuple, direction: str) -> MatrixTuple:
         out = checked_solve(A, B, what).swapaxes(-1, -2)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return MatrixTuple(tuple(out))
+    return MatrixTuple(out)
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -339,18 +345,16 @@ def sample(kind: str, n: int, d: int = 1, seed: int = 0):
             S = hermitianize(_ginibre(rng, n))
             B = _ginibre(rng, n) / np.sqrt(n)
             mats.append(S + 1j * (0.05 * eye + B @ B.conj().T))
-        return MatrixTuple(tuple(mats))
+        return MatrixTuple(mats)
     if kind == PSD_DIRECTION:
         mats = []
         for _ in range(d):
             B = _ginibre(rng, n) / np.sqrt(n)
             mats.append(B @ B.conj().T)
-        return MatrixTuple(tuple(mats))
+        return MatrixTuple(mats)
     if kind == CONTRACTION_TUPLE:
-        mats = []
-        for _ in range(d):
-            G = _ginibre(rng, n)
-            radius = 0.9 * rng.uniform(0.3, 1.0)
-            mats.append(G * (radius / max(spectral_norm(G), 1e-30)))
-        return MatrixTuple(tuple(mats))
+        draws = [(_ginibre(rng, n), 0.9 * rng.uniform(0.3, 1.0)) for _ in range(d)]
+        G = np.array([g for g, _ in draws])
+        radii = np.array([r for _, r in draws])
+        return MatrixTuple(G * (radii / np.maximum(spectral_norms(G), 1e-30))[:, None, None])
     raise ValueError(f"unknown sample kind {kind!r}")

@@ -29,7 +29,7 @@ from .matcore import (
     hermitianize,
     psd_min_eig,
     sample,
-    spectral_norm,
+    spectral_norms,
 )
 from .series import (
     FreeSeries,
@@ -208,20 +208,14 @@ def choi_at(f: FreeSeries, X: MatrixTuple, tol: float = DEFAULT_PSD_TOL) -> Choi
             vals, vecs = la.eigh(hermitianize(C))
             trace = float(np.trace(C).real)
             cutoff = tol * max(trace, 0.0)
-            ops = []
-            for j in range(len(vals) - 1, -1, -1):
-                if vals[j] <= cutoff:
-                    break
-                ops.append(np.conj(np.sqrt(vals[j]) * vecs[:, j]).reshape(n, n))
-            kraus = tuple(ops)
-            V = np.array(ops).reshape(-1, n * n)
+            # eigenvalues ascend, so those above the cutoff are the top ones
+            top = np.flatnonzero(vals > cutoff)[::-1]
+            V = np.conj(np.sqrt(vals[top])[:, None] * vecs.T[top])
+            kraus = tuple(V.reshape(-1, n, n))
             rebuilt = V.conj().T @ V  # block (p, q) is sum_j V_j* E_pq V_j
-            residual = 0.0
-            for p in range(n):
-                for q in range(n):
-                    D = C[p * n : (p + 1) * n, q * n : (q + 1) * n]
-                    R = rebuilt[p * n : (p + 1) * n, q * n : (q + 1) * n]
-                    residual = max(residual, spectral_norm(D - R) / (1 + spectral_norm(D)))
+            # the n x n blocks (p, q) of C and of rebuilt, stacked as (n, n, n, n)
+            D, R = (M.reshape(n, n, n, n).swapaxes(1, 2) for M in (C, rebuilt))
+            residual = float((spectral_norms(D - R) / (1 + spectral_norms(D))).max(initial=0.0))
         coords.append(
             ChoiCoordinate(k=k, choi=C, report=rep, kraus=kraus, reconstruction_residual=residual)
         )
@@ -261,12 +255,10 @@ def sample_monotone_test(
     worst = float("inf")
     for t in range(trials):
         base = sample("hermitian_tuple", n, f.d, seed + 31 * t)
-        X = MatrixTuple(
-            tuple(M * (radius / max(spectral_norm(M), 1e-30)) for M in base.mats)
-        )
+        X = MatrixTuple(base.mats * (radius / np.maximum(spectral_norms(base.mats), 1e-30))[:, None, None])
         P = sample("psd_direction", n, f.d, seed + 31 * t + 1)
-        eps = 0.1 * radius / max(max(spectral_norm(M) for M in P.mats), 1e-30)
-        Y = MatrixTuple(tuple(Xi + eps * Pi for Xi, Pi in zip(X.mats, P.mats)))
+        eps = 0.1 * radius / max(P.max_norm(), 1e-30)
+        Y = MatrixTuple(X.mats + eps * P.mats)
         gap = eval_series(f, Y).value - eval_series(f, X).value
         rep_gap = psd_min_eig(hermitianize(gap), tol)
         H = sample("psd_direction", n, f.d, seed + 31 * t + 2)

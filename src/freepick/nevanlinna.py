@@ -254,7 +254,7 @@ def scalar_evaluator(spec: RepresentationSpec) -> Callable[[complex], complex]:
     """h restricted to scalar points (z, ..., z), identified with C."""
 
     def ev(z: complex) -> complex:
-        Z = MatrixTuple(tuple(np.array([[z]]) for _ in range(spec.d)))
+        Z = MatrixTuple(np.full((spec.d, 1, 1), z))
         return complex(eval_representation(spec, Z)[0, 0])
 
     return ev

@@ -179,7 +179,7 @@ def monomial_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
     """
     if X.d != order.d:
         raise ValueError(f"word order in {order.d} letters evaluated at a {X.d}-tuple")
-    mats = np.stack(X.mats)[:, None]
+    mats = X.mats[:, None]
     levels = [np.eye(X.n, dtype=np.complex128)[None]]
     for _ in range(order.degree):
         levels.append((mats @ levels[-1]).reshape(X.d * len(levels[-1]), X.n, X.n))

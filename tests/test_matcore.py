@@ -18,6 +18,7 @@ from freepick.matcore import (
     psd_min_eig,
     sample,
     spectral_norm,
+    spectral_norms,
 )
 
 
@@ -80,14 +81,43 @@ def test_psd_rejects_asymmetric_input():
 
 
 def test_matrix_tuple_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coordinate 2 has shape \(3, 3\), expected \(2, 2\)$"):
         MatrixTuple((np.eye(2), np.eye(3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coordinate 1 has shape \(2, 3\), expected \(2, 2\)$"):
         MatrixTuple((np.ones((2, 3)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coordinate 1 has non-finite entries$"):
         MatrixTuple((np.array([[np.inf]]),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a matrix tuple needs at least one coordinate$"):
         MatrixTuple(())
+    with pytest.raises(ValueError, match=r"^coordinate 2 must be 2-dimensional, got shape \(3,\)$"):
+        MatrixTuple((np.eye(3), np.ones(3)))
+
+
+def test_matrix_tuple_copies_the_callers_arrays():
+    A = np.array([[1.0, 2j], [0.5, -1.0]])
+    X = MatrixTuple((A, np.eye(2)))
+    A[0, 0] = 7.0
+    assert X.mats[0][0, 0] == 1.0
+
+
+def test_matrix_tuple_is_one_stack():
+    X = MatrixTuple(([[1, 2], [3, 4]], np.eye(2)))
+    assert X.mats.shape == (2, 2, 2) and X.mats.dtype == np.complex128
+    assert (X.d, X.n, len(tuple(X.mats))) == (2, 2, 2)
+    np.testing.assert_array_equal(X.mats[1], np.eye(2))
+
+
+def test_spectral_norms_equal_la_norm_per_matrix():
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1, 1), (2, 3, 3), (3, 8, 8), (2, 4, 2, 5)):
+        S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        norms = spectral_norms(S)
+        assert norms.shape == shape[:-2]
+        assert norms.ravel().tolist() == [np.linalg.norm(M, 2) for M in S.reshape(-1, *shape[-2:])]
+    assert spectral_norms(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
+    X = MatrixTuple((np.diag([1.0, -3.0]), 2 * np.eye(2)))
+    assert X.max_norm() == 3.0 and MatrixTuple((np.zeros((0, 0)),)).max_norm() == 0.0
 
 
 def test_matrix_tuple_adjoint_and_selfadjointness():

@@ -623,6 +623,28 @@ def test_validate_matches_dict_scan_on_seeded_series(halfres_series, d2res_serie
         assert validate(f) == dict_validate(f)
 
 
+def perturbed_real_free(rng: np.random.Generator) -> FreeSeries:
+    """Up to 8 random words in 1-3 letters, each stored with its reversal,
+    whose coefficient is conj(c_w) scaled by 1 + 10^-u, u uniform in [8, 15]."""
+    d = int(rng.integers(1, 4))
+    coeffs = {}
+    for _ in range(int(rng.integers(1, 9))):
+        w = tuple(int(x) for x in rng.integers(1, d + 1, size=int(rng.integers(0, 6))))
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        coeffs[w] = c
+        coeffs.setdefault(involute(w), c.conjugate() * (1 + 10.0 ** -rng.uniform(8, 15)))
+    return FreeSeries(d=d, degree=5, coeffs=coeffs, real_free=True)
+
+
+def test_validate_symmetry_gaps_round_as_the_dict_scan():
+    # the gaps and thresholds must round as Python's abs; np.abs on complex128
+    # differs from it in the last bit for some values on some CPUs
+    rng = np.random.default_rng(7)
+    series = [perturbed_real_free(rng) for _ in range(3000)]
+    assert sum(bool(validate(f).symmetry_violations) for f in series) > 1000
+    assert [f for f in series if validate(f) != dict_validate(f)] == []
+
+
 def test_localizing_derivative_matches_kron_formula(halfres_series, d2res_series):
     for f, _L, X in seeded_cases(halfres_series, d2res_series):
         for seed in (5, 6):

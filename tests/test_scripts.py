@@ -47,7 +47,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "19 of 19 commands identical"
+    assert lines[-1] == "26 of 26 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -82,6 +82,25 @@ def test_compare_reports_runs_the_series_commands(tmp_path):
     assert not any(argv in readme for argv in commands)
 
 
+def test_compare_reports_runs_the_tuple_commands(tmp_path):
+    module = load_compare_reports()
+    point = tmp_path / "generic_point.json"
+    commands = module.tuple_commands(point)
+    labels = [" ".join(pathlib.Path(a).stem if pathlib.Path(a).is_absolute() else a for a in argv) for argv in commands]
+    assert labels == [
+        "axioms --rep type4_rep --samples 10",
+        "axioms --series d2res_series --samples 10 --dim 3",
+        "cayley --point pi2_point --direction half2disk",
+        "deriv --series d2res_series --point generic_point --direction pi2_point --method block",
+        "deriv --series d2res_series --point generic_point --direction pi2_point --method fd",
+        "herglotz-eval --model moebius_model --point half_scalar_point --method resolvent",
+        "rep-eval --rep type4_rep --point pi2_point",
+    ]
+    assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
+    earlier = module.readme_commands() + module.series_commands(point)
+    assert not any(argv in earlier for argv in commands)
+
+
 FIELDS = ("report", "stdout", "stderr", "exit code")
 
 
@@ -105,4 +124,5 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     assert module.main() == 1
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
-    assert out.splitlines()[-1] == "18 of 19 commands identical"
+    assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
+    assert out.splitlines()[-1] == "24 of 26 commands identical"
