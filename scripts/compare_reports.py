@@ -80,7 +80,7 @@ def tuple_commands(point: Path) -> list[list[str]]:
     """The commands past the README examples that stack, embed or transform
     matrix tuples: axioms fuzzing (direct sums and conjugations) on a
     kind-4 representation and on d2res up to size 3, the half-plane Cayley
-    direction, the block and fd derivatives in two letters, the resolvent
+    direction, the three derivative routes in two letters, the resolvent
     Herglotz form and a kind-4 representation at a two-letter point."""
 
     def fixture(name: str) -> str:
@@ -90,8 +90,10 @@ def tuple_commands(point: Path) -> list[list[str]]:
         ["axioms", "--rep", fixture("type4_rep"), "--samples", "10"],
         ["axioms", "--series", fixture("d2res_series"), "--samples", "10", "--dim", "3"],
         ["cayley", "--point", fixture("pi2_point"), "--direction", "half2disk"],
-        ["deriv", "--series", fixture("d2res_series"), "--point", str(point), "--direction", fixture("pi2_point"), "--method", "block"],
-        ["deriv", "--series", fixture("d2res_series"), "--point", str(point), "--direction", fixture("pi2_point"), "--method", "fd"],
+        *(
+            ["deriv", "--series", fixture("d2res_series"), "--point", str(point), "--direction", fixture("pi2_point"), "--method", method]
+            for method in ("block", "localizing", "fd")
+        ),
         ["herglotz-eval", "--model", fixture("moebius_model"), "--point", fixture("half_scalar_point"), "--method", "resolvent"],
         ["rep-eval", "--rep", fixture("type4_rep"), "--point", fixture("pi2_point")],
     ]

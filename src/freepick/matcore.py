@@ -197,6 +197,8 @@ def checked_solve(A: np.ndarray, B: np.ndarray, what: str | Sequence[str] = "pen
     the first matrix past the cutoff by its index, or by its entry in what
     when what is a sequence of labels.
     """
+    if A.shape[-1] == 0:  # an empty system: nothing to condition, the solution is empty
+        return la.solve(A, B)
     s = la.svd(A, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = s[..., 0] / s[..., -1]

@@ -179,8 +179,9 @@ class ChoiReport:
 def choi_at(f: FreeSeries, X: MatrixTuple, tol: float = DEFAULT_PSD_TOL) -> ChoiReport:
     """Choi/Kraus analysis of the per-coordinate derivative maps at X.
 
-    For each coordinate k, D_k(H) = Df(X)[H in slot k] = sum_I left_I H T_I
-    (see :func:`pencil_contraction`), so the Choi matrix
+    For each coordinate k, D_k(H) = Df(X)[H in slot k] = sum_I left_I H T_I,
+    with left and T from the staircase of :func:`pencil_contraction`, which
+    builds no count x count pencil. So the Choi matrix
     C_k = sum_{p,q} E_pq (x) D_k(E_pq) has sum_I (left_I)_{ap} (T_I)_{qb}
     at ((p, a), (q, b)). If C_k is PSD, the Kraus operators from its
     spectral decomposition reconstruct D_k as sum_j V_j* H V_j; a negative

@@ -206,10 +206,11 @@ class RepresentationSpec(PencilScaffold):
 
 
 def _require_half_plane(Zs: np.ndarray) -> None:
-    low = la.eigvalsh((Zs - Zs.conj().swapaxes(-1, -2)) / 2j)[..., 0]
+    # the lowest eigenvalue of each coordinate, none at n = 0
+    low = la.eigvalsh((Zs - Zs.conj().swapaxes(-1, -2)) / 2j)[..., :1]
     bad = low <= 0
     if bad.any():
-        p, i = np.argwhere(bad)[0]
+        p, i, _ = np.argwhere(bad)[0]
         where = f"point {p}: " if len(Zs) > 1 else ""
         raise DomainError(f"{where}coordinate {i + 1} is not in the open matricial half-plane")
 

@@ -443,14 +443,34 @@ def pencil_contraction(f: FreeSeries, X: MatrixTuple) -> tuple[np.ndarray, np.nd
     """left_I = X^{I*} and T[k-1, I] = sum_J c_{I* x_k J} X^J over |I|, |J| < degree.
 
     Contracts each localizing pencil with the monomial stack at X, so that
-    Df(X)[H] = sum_k sum_I left_I H_k T[k-1, I].
+    Df(X)[H] = sum_k sum_I left_I H_k T[k-1, I], without building the
+    count x count pencil. A stored word I* x_k J has |I| + 1 + |J| <= degree,
+    so the row level |I| = a of the x_k pencil is nonzero only in the words
+    J of length <= degree - 1 - a, which graded-lex order lists first. The
+    split list is scattered into that staircase of dense (d^a, width_a)
+    blocks, one per letter and level; the d blocks of a level are stacked
+    letter-major and make one GEMM against the first width_a monomials.
+    left is the monomial stack at the transposed tuple, since
+    X^{I*} = ((X^T)^I)^T.
     """
     order = W.enumerate_words(X.d, max(f.degree - 1, 0))
     stack = W.monomial_stack(X, order)
-    left = stack[order.involution_positions()]
-    T = np.stack(
-        [np.tensordot(localizing_matrix(f, k, order.degree), stack, axes=1) for k in range(1, f.d + 1)]
-    )
+    left = np.ascontiguousarray(W.monomial_stack(MatrixTuple(X.mats.swapaxes(1, 2)), order).swapaxes(1, 2))
+    d, n, levels = X.d, X.n, range(order.degree + 1)
+    first = np.array([W.word_count(d, a - 1) for a in levels])
+    rows = np.array([d**a for a in levels])
+    width = np.array([W.word_count(d, order.degree - a) for a in levels])
+    size = d * rows * width
+    start = np.cumsum(size) - size
+    s = f.splits
+    lv = np.searchsorted(first, s.pos_i, side="right") - 1
+    flat = np.zeros(size.sum(), dtype=np.complex128)
+    flat[start[lv] + ((s.letter - 1) * rows[lv] + s.pos_i - first[lv]) * width[lv] + s.pos_j] = s.coeff
+    monomials = stack.reshape(len(order), n * n)
+    T = np.empty((d, len(order), n, n), dtype=np.complex128)
+    for a in levels:
+        block = flat[start[a] : start[a] + size[a]].reshape(d * rows[a], width[a])
+        T[:, first[a] : first[a] + rows[a]] = (block @ monomials[: width[a]]).reshape(d, rows[a], n, n)
     return left, T
 
 
@@ -470,7 +490,10 @@ def derivative(
       upper-right n x n corner;
     - localizing: Df(X)[H] = sum_k sum_{I,J} c_{I* x_k J} X^{I*} H_k X^J,
       the coefficient-pencil formula, contracted as sum_k sum_I X^{I*} H_k T_I
-      with T_I = sum_J c_{I* x_k J} X^J (see :func:`pencil_contraction`);
+      with T_I = sum_J c_{I* x_k J} X^J. T comes from the staircase of
+      :func:`pencil_contraction`, so no count x count pencil is built, and
+      the sum over I is two GEMMs per letter: the stacked X^{I*} times H_k,
+      then those products side by side times the stacked T_I;
     - fd: central difference (f(X + tH) - f(X - tH)) / 2t, with optional
       Richardson refinement.
 
@@ -497,7 +520,12 @@ def derivative(
                 stacklevel=2,
             )
         left, T = pencil_contraction(f, X)
-        return sum((left @ Hk @ Tk).sum(axis=0) for Hk, Tk in zip(H.mats, T))
+        c, n = len(left), X.n
+        rows = left.reshape(c * n, n)
+        return sum(
+            (rows @ Hk).reshape(c, n, n).swapaxes(0, 1).reshape(n, c * n) @ Tk.reshape(c * n, n)
+            for Hk, Tk in zip(H.mats, T)
+        )
     if method == FD:
         if not fd_step > 0:
             raise ValueError("fd_step must be positive")

@@ -73,19 +73,6 @@ class WordOrder:
     def __len__(self) -> int:
         return len(self.words)
 
-    def involution_positions(self) -> np.ndarray:
-        """pos(w*) for every word w of the order, in order.
-
-        Level l lists the base-d digit strings of 0..d^l - 1, most significant
-        first; read least significant first they are the involutes, so the
-        letters come from arange arithmetic rather than from the word tuples.
-        """
-        levels = []
-        for length in range(self.degree + 1):
-            digits = np.arange(self.d**length)[:, None] // self.d ** np.arange(length) % self.d
-            levels.append(suffix_positions(self.d, digits + 1)[:, 0])
-        return np.concatenate(levels)
-
 
 def enumerate_words(d: int, L: int, budget: int = WORD_BUDGET) -> WordOrder:
     """All words of length <= L in graded-lex order.

@@ -14,6 +14,7 @@ from freepick.herglotz import (
     pick_herglotz_bridge,
     schur_cayley,
 )
+from freepick.jsonio import parse_spec
 from freepick.matcore import (
     DomainError,
     MatrixTuple,
@@ -155,6 +156,14 @@ def test_contraction_gate():
     model = scalar_model(1.0)
     with pytest.raises(DomainError, match="strict contractions"):
         eval_herglotz(model, MatrixTuple((np.array([[1.0]]),)))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_eval_at_size_zero(form, fixtures_dir):
+    # as eval_series and the derivatives do, an n = 0 tuple gives a 0 x 0 value
+    for model in (parse_spec(str(fixtures_dir / "moebius_model.json")), haar_model(2, 2, seed=3)):
+        h = eval_herglotz(model, MatrixTuple(np.zeros((model.d, 0, 0))), form)
+        assert h.shape == (0, 0) and h.dtype == np.complex128
 
 
 def test_coordinate_count_gate():

@@ -173,6 +173,12 @@ def test_cayley_maps_contractions_into_half_plane(seed):
         assert np.linalg.eigvalsh(imag_part(Zi)).min() > 0
 
 
+@pytest.mark.parametrize("direction", [DISK_TO_HALF, HALF_TO_DISK])
+def test_cayley_at_size_zero(direction):
+    Z = cayley(MatrixTuple(np.zeros((2, 0, 0))), direction)
+    assert Z.mats.shape == (2, 0, 0) and Z.mats.dtype == np.complex128
+
+
 def test_cayley_singularity_names_coordinate():
     X = MatrixTuple((np.zeros((1, 1)), np.array([[1.0]])))
     with pytest.raises(SingularityError, match="2"):

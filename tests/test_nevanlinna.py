@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freepick.jsonio import parse_spec
 from freepick.matcore import DomainError, MatrixTuple, imag_part, sample
 from freepick.nevanlinna import (
     AsymptoticProbe,
@@ -229,6 +230,14 @@ def test_half_plane_gate():
     spec = diag_spec(1)
     with pytest.raises(DomainError, match="half-plane"):
         eval_representation(spec, half_point(1.0 + 0j, 2))
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_eval_at_size_zero(kind, fixtures_dir):
+    # as eval_series and the derivatives do, an n = 0 tuple gives a 0 x 0 value
+    spec = parse_spec(str(fixtures_dir / f"type{kind}_rep.json"))
+    h = eval_representation(spec, MatrixTuple(np.zeros((spec.d, 0, 0))))
+    assert h.shape == (0, 0) and h.dtype == np.complex128
 
 
 # ------------------------------------------------------------- classification

@@ -14,6 +14,14 @@ loops they replace: one coefficient lookup per pencil cell, and a walk over
 the stored words that judges each pair {w, w*} once. Both must agree
 exactly, not to a tolerance.
 
+pencil_contraction scatters the split list into a staircase of dense
+blocks, one per letter and row level, and never builds the count x count
+pencil. Its oracle is the route it replaces: the dense pencil of each letter
+contracted with the monomial stack by one tensordot, and left gathered from
+the stack at the involutes' positions. The two sum the same nonzero terms
+in different groupings, so they agree to PENCIL_RTOL rather than exactly,
+and so do the localizing derivative and the Choi matrices read from them.
+
 eval_series is a right Horner pass over the suffix trie, one GEMM per letter
 per level, and the block derivative carries only the top block row of that
 pass at [[X, H], [0, X]]. They have two oracles. One is the sum they
@@ -36,7 +44,7 @@ from hypothesis import strategies as st
 from freepick.matcore import MatrixTuple, sample
 from freepick.jsonio import parse_series
 from freepick.monotone import HamburgerModel, certify_monotone, choi_at, hamburger_factor
-from freepick import words
+from freepick import monotone, series, words
 from freepick.series import (
     METHODS,
     FreeSeries,
@@ -45,12 +53,14 @@ from freepick.series import (
     derivative,
     eval_series,
     localizing_matrix,
+    pencil_contraction,
     validate,
 )
-from freepick.words import enumerate_words, eval_words, involute, word_count
+from freepick.words import WordOrder, enumerate_words, eval_words, involute, word_count
 
 RTOL = 1e-12
 EVAL_RTOL = 1e-13
+PENCIL_RTOL = 1e-13
 
 
 def word_sum(f: FreeSeries, X: MatrixTuple) -> np.ndarray:
@@ -171,6 +181,37 @@ def dict_localizing_matrix(f: FreeSeries, k: int, L: int) -> np.ndarray:
             if c is not None:
                 M[i, j] = c
     return M
+
+
+def involution_positions(order: WordOrder) -> np.ndarray:
+    """pos(w*) for every word w of the order, in order.
+
+    Level l lists the base-d digit strings of 0..d^l - 1, most significant
+    first; read least significant first they are the involutes, so the
+    letters come from arange arithmetic rather than from the word tuples.
+    """
+    levels = []
+    for length in range(order.degree + 1):
+        digits = np.arange(order.d**length)[:, None] // order.d ** np.arange(length) % order.d
+        levels.append(words.suffix_positions(order.d, digits + 1)[:, 0])
+    return np.concatenate(levels)
+
+
+def dense_pencil_contraction(f: FreeSeries, X: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
+    """left and T from the dense count x count pencil of each letter."""
+    order = enumerate_words(X.d, max(f.degree - 1, 0))
+    stack = words.monomial_stack(X, order)
+    left = stack[involution_positions(order)]
+    T = np.stack(
+        [np.tensordot(localizing_matrix(f, k, order.degree), stack, axes=1) for k in range(1, f.d + 1)]
+    )
+    return left, T
+
+
+def pencil_choi(left: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
+    """The Choi matrix of coordinate k from a pencil contraction, as choi_at forms it."""
+    n = left.shape[-1]
+    return np.einsum("iap,iqb->paqb", left, T[k - 1], optimize=True).reshape(n * n, n * n)
 
 
 def dict_validate(f: FreeSeries) -> SeriesDiagnostics:
@@ -680,6 +721,74 @@ def test_choi_matches_block_derivative_loop(halfres_series, d2res_series):
             assert_rel_close(coord.choi, block_choi(f, X, coord.k))
 
 
+def assert_pencil_matches_dense(f: FreeSeries, X: MatrixTuple, H: MatrixTuple, choi: bool = True) -> None:
+    """left, T, the localizing derivative and (at a self-adjoint X with
+    n >= 1, where choi_at runs) the Choi matrices against the dense pencil."""
+    left, T = pencil_contraction(f, X)
+    want_left, want_T = dense_pencil_contraction(f, X)
+    assert left.shape == want_left.shape and T.shape == want_T.shape
+    assert left.dtype == T.dtype == np.complex128
+    assert_rel_close(left, want_left, PENCIL_RTOL)
+    assert_rel_close(T, want_T, PENCIL_RTOL)
+    got = derivative(f, X, H, method="localizing")
+    want = sum((want_left @ Hk @ Tk).sum(axis=0) for Hk, Tk in zip(H.mats, want_T))
+    assert got.shape == (X.n, X.n)
+    assert_rel_close(got, want, PENCIL_RTOL)
+    if choi:
+        for coord in choi_at(f, X).coordinates:
+            assert_rel_close(coord.choi, pencil_choi(want_left, want_T, coord.k), PENCIL_RTOL)
+
+
+def test_involution_positions_are_the_involutes():
+    for d, L in ((1, 4), (2, 4), (3, 3), (4, 2)):
+        order = enumerate_words(d, L)
+        index = {w: i for i, w in enumerate(order.words)}
+        assert list(involution_positions(order)) == [index[involute(w)] for w in order.words]
+
+
+def test_pencil_matches_dense_route_on_fixtures(x3_series, halfres_series, d2res_series):
+    for f, radius in ((x3_series, 0.5), (halfres_series, 0.3), (d2res_series, 0.15)):
+        for n in (1, 3):
+            X = hermitian_point(n, f.d, radius, seed=n)
+            assert_pencil_matches_dense(f, X, sample("hermitian_tuple", n, f.d, seed=5))
+        rng = np.random.default_rng(f.degree)
+        X = MatrixTuple(tuple(radius * M / np.linalg.norm(M, 2) for M in general_tuple(2, f.d, rng).mats))
+        assert_pencil_matches_dense(f, X, general_tuple(2, f.d, rng), choi=False)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pencil_matches_dense_route_on_dense_series(d):
+    rng = np.random.default_rng(d)
+    for degree in (0, 1, 2, {1: 6, 2: 5, 3: 3}[d]):
+        f = random_real_free(d, degree, rng)
+        for n in (1, 2, 4):
+            X = hermitian_point(n, d, 0.4, seed=degree + n)
+            assert_pencil_matches_dense(f, X, general_tuple(n, d, rng))
+        g = random_dense(d, degree, rng)
+        X = MatrixTuple(tuple(0.3 * M for M in general_tuple(3, d, rng).mats))
+        assert_pencil_matches_dense(g, X, general_tuple(3, d, rng), choi=False)
+
+
+def test_pencil_at_size_zero(x3_series, halfres_series, d2res_series):
+    rng = np.random.default_rng(0)
+    for f in (x3_series, halfres_series, d2res_series, random_dense(3, 3, rng)):
+        X = MatrixTuple(np.zeros((f.d, 0, 0)))
+        assert_pencil_matches_dense(f, X, X, choi=False)
+        assert derivative(f, X, X, method="localizing").dtype == np.complex128
+
+
+def test_localizing_routes_build_no_pencil(halfres_series, d2res_series, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count x count localizing pencil was built")
+
+    monkeypatch.setattr(series, "localizing_matrix", refuse)
+    monkeypatch.setattr(monotone, "localizing_matrix", refuse)
+    for f, _L, X in seeded_cases(halfres_series, d2res_series):
+        H = sample("hermitian_tuple", X.n, X.d, seed=6)
+        assert derivative(f, X, H, method="localizing").shape == (X.n, X.n)
+        assert len(choi_at(f, X, tol=1e-8).coordinates) == f.d
+
+
 # -------------------------------------------------------- hypothesis checks
 
 shapes = dict(
@@ -719,6 +828,23 @@ def test_choi_oracle_hypothesis(d, L, n, seed):
     rep = choi_at(f, X)
     for coord in rep.coordinates:
         assert_rel_close(coord.choi, block_choi(f, X, coord.k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    L=st.integers(min_value=0, max_value=5),
+    n=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pencil_dense_oracle_hypothesis(d, L, n, seed):
+    rng = np.random.default_rng(seed)
+    L = min(L, {1: 5, 2: 5, 3: 3}[d])
+    f = random_real_free(d, L, rng)
+    X = hermitian_point(n, d, 0.5, seed % 2**31) if n else MatrixTuple(np.zeros((d, 0, 0)))
+    assert_pencil_matches_dense(f, X, general_tuple(n, d, rng), choi=n > 0)
+    Y = MatrixTuple(tuple(0.5 * M for M in general_tuple(n, d, rng).mats))
+    assert_pencil_matches_dense(random_dense(d, L, rng), Y, general_tuple(n, d, rng), choi=False)
 
 
 def cap_level(d: int, degree: int) -> int:

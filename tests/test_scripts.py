@@ -47,7 +47,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "26 of 26 commands identical"
+    assert lines[-1] == "27 of 27 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -92,6 +92,7 @@ def test_compare_reports_runs_the_tuple_commands(tmp_path):
         "axioms --series d2res_series --samples 10 --dim 3",
         "cayley --point pi2_point --direction half2disk",
         "deriv --series d2res_series --point generic_point --direction pi2_point --method block",
+        "deriv --series d2res_series --point generic_point --direction pi2_point --method localizing",
         "deriv --series d2res_series --point generic_point --direction pi2_point --method fd",
         "herglotz-eval --model moebius_model --point half_scalar_point --method resolvent",
         "rep-eval --rep type4_rep --point pi2_point",
@@ -125,4 +126,4 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "24 of 26 commands identical"
+    assert out.splitlines()[-1] == "25 of 27 commands identical"
