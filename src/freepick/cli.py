@@ -23,8 +23,6 @@ from .matcore import DISK_TO_HALF, HALF_TO_DISK, CalcError, MatrixTuple, cayley
 _CAYLEY_DIRECTIONS = {
     "disk2half": DISK_TO_HALF,
     "half2disk": HALF_TO_DISK,
-    DISK_TO_HALF: DISK_TO_HALF,
-    HALF_TO_DISK: HALF_TO_DISK,
 }
 
 
@@ -61,10 +59,11 @@ def build_parser() -> _Parser:
     p = _Parser(prog="freepick", description="free function calculus toolkit")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def cmd(name: str, help_text: str, run) -> argparse.ArgumentParser:
+    def cmd(name: str, help_text: str, run, *config: str) -> argparse.ArgumentParser:
         c = sub.add_parser(name, help=help_text)
-        for fld in fields(RunConfig):
-            c.add_argument(f"--{fld.name}", type=type(fld.default), default=fld.default)
+        for opt in config:  # the RunConfig fields that run reads
+            default = getattr(RunConfig, opt)
+            c.add_argument(f"--{opt}", type=type(default), default=default)
         c.add_argument("--out", default=None, help="write the report here instead of stdout")
         c.set_defaults(run=run)
         return c
@@ -79,14 +78,14 @@ def build_parser() -> _Parser:
     c.add_argument("--direction", required=True, help="tuple file with the direction H")
     c.add_argument("--method", choices=series.METHODS, default=series.BLOCK)
 
-    c = cmd("monotone", "certify or refute local monotonicity near 0", _run_monotone)
+    c = cmd("monotone", "certify or refute local monotonicity near 0", _run_monotone, "degree", "tol")
     c.add_argument("--series", required=True)
 
-    c = cmd("interpolate", "minimum-norm interpolation through the kernel span", _run_interpolate)
+    c = cmd("interpolate", "minimum-norm interpolation through the kernel span", _run_interpolate, "degree")
     c.add_argument("--point", required=True)
     c.add_argument("--direction", required=True, help="matrix file with the target value")
 
-    c = cmd("axioms", "fuzz the free-function axioms", _run_axioms)
+    c = cmd("axioms", "fuzz the free-function axioms", _run_axioms, "tol", "seed", "samples", "dim")
     c.add_argument("--series", default=None)
     c.add_argument("--rep", default=None)
 
@@ -111,7 +110,8 @@ def build_parser() -> _Parser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{fld.name: getattr(args, fld.name) for fld in fields(RunConfig)})
+    """The command's config flags, and RunConfig's defaults for the rest."""
+    return RunConfig(**{fld.name: getattr(args, fld.name) for fld in fields(RunConfig) if hasattr(args, fld.name)})
 
 
 def _load_spec(path: str, kind: type, label: str):

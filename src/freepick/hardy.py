@@ -47,14 +47,14 @@ class SzegoFrame:
         return self.K[:, i * self.X.n + j]
 
 
-def _kernel_build(X: MatrixTuple, L: int, budget: int) -> tuple[W.WordOrder, np.ndarray, np.ndarray]:
+def _kernel_build(X: MatrixTuple, L: int) -> tuple[W.WordOrder, np.ndarray, np.ndarray]:
     """The word order, the kernel stack K and its Gram K*K: the one build
     that szego_kernels and min_norm_interpolate share.
 
     S is the unconjugated monomial stack, so K = conj(S) and K* = S^T: the
     Gram reads S through a transposed view instead of a second conj copy.
     """
-    order = W.enumerate_words(X.d, L, budget=budget)
+    order = W.enumerate_words(X.d, L)
     S = W.monomial_stack(X, order).reshape(len(order), X.n * X.n)
     K = S.conj()
     return order, K, S.T @ K
@@ -67,14 +67,14 @@ def _kept(vals: np.ndarray) -> np.ndarray:
     return vals > GRAM_RANK_RTOL * top
 
 
-def szego_kernels(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> SzegoFrame:
+def szego_kernels(X: MatrixTuple, L: int) -> SzegoFrame:
     """The degree-L kernel frame at X, with the rank of its Gram.
 
     The rank costs one eigvalsh of the n^2 x n^2 Gram; min_norm_interpolate
     shares the kernel build but not that eigvalsh, since it never reads the
     rank. An n = 0 tuple has the empty frame, of rank 0.
     """
-    order, K, gram = _kernel_build(X, L, budget)
+    order, K, gram = _kernel_build(X, L)
     rank = int(np.count_nonzero(_kept(la.eigvalsh(hermitianize(gram)))))
     return SzegoFrame(X=X, degree=L, order=order, K=K, gram=gram, rank=rank)
 
@@ -111,9 +111,7 @@ def gram_projection(frame: SzegoFrame) -> np.ndarray:
     return frame.K @ _gram_pinv(frame.gram) @ frame.K.conj().T
 
 
-def min_norm_interpolate(
-    X: MatrixTuple, target: np.ndarray, L: int, budget: int = W.WORD_BUDGET
-) -> FreeSeries:
+def min_norm_interpolate(X: MatrixTuple, target: np.ndarray, L: int) -> FreeSeries:
     """The minimum-norm degree-L series with f(X) = target.
 
     Builds the kernels and their Gram as szego_kernels does, without its
@@ -127,7 +125,7 @@ def min_norm_interpolate(
     target = as_complex_matrix(target, "target")
     if target.shape != (X.n, X.n):
         raise ValueError(f"target must be {X.n}x{X.n}, got {target.shape}")
-    order, K, gram = _kernel_build(X, L, budget)
+    order, K, gram = _kernel_build(X, L)
     t = target.reshape(-1)
     g = _gram_pinv(gram) @ t
     residual = float(la.norm(gram @ g - t))

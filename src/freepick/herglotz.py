@@ -213,7 +213,7 @@ def schur_cayley(
     return phi
 
 
-def lurking_unitary_reduce(W: np.ndarray, top_dim: int, tol: float = 1e-9) -> np.ndarray:
+def lurking_unitary_reduce(W: np.ndarray, top_dim: int) -> np.ndarray:
     """Compress a block isometry [[A, B], [C, D]] to U = D - C (I + A)^{-1} B.
 
     A is the leading top_dim x top_dim block. If W is an isometry the
@@ -227,8 +227,8 @@ def lurking_unitary_reduce(W: np.ndarray, top_dim: int, tol: float = 1e-9) -> np
     if not 0 < top_dim < min(rows, cols):
         raise ValueError(f"top_dim must split {W.shape} into four blocks, got {top_dim}")
     defect = spectral_norm(W.conj().T @ W - np.eye(cols))
-    if defect > tol:
-        raise DomainError(f"W is not an isometry within {tol:g} (defect {defect:.3e})")
+    if defect > 1e-9:
+        raise DomainError(f"W is not an isometry within 1e-09 (defect {defect:.3e})")
     A = W[:top_dim, :top_dim]
     B = W[:top_dim, top_dim:]
     C = W[top_dim:, :top_dim]

@@ -140,10 +140,10 @@ class MatrixTuple:
     def adjoint(self) -> "MatrixTuple":
         return MatrixTuple(self.mats.conj().swapaxes(1, 2))
 
-    def is_selfadjoint(self, rtol: float = HERMITICITY_RTOL) -> bool:
+    def is_selfadjoint(self) -> bool:
         S = self.mats
         asym = spectral_norms(S - S.conj().swapaxes(1, 2))
-        return bool((asym <= rtol * np.maximum(spectral_norms(S), 1.0)).all())
+        return bool((asym <= HERMITICITY_RTOL * np.maximum(spectral_norms(S), 1.0)).all())
 
     def max_norm(self) -> float:
         """max_i ||X_i||_2, the radius used by tail bounds."""
@@ -183,7 +183,7 @@ def psd_min_eig(H, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
             f"exceeds {HERMITICITY_RTOL:g} * ||H|| = {HERMITICITY_RTOL * norm:.3e}"
         )
     w = la.eigvalsh(hermitianize(A))
-    min_eig = float(w[0])
+    min_eig = float(w[0]) if w.size else np.inf  # the minimum of an empty spectrum
     return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol * (1 + norm), tol_used=tol)
 
 

@@ -133,13 +133,13 @@ class HamburgerModel:
         return acc
 
 
-def hamburger_factor(f: FreeSeries, L: int, tol: float = DEFAULT_PSD_TOL) -> HamburgerModel:
+def hamburger_factor(f: FreeSeries, L: int) -> HamburgerModel:
     """Factor each localizing matrix as F_k* F_k with F_k its PSD square root.
 
-    Eigenvalues in [-tol * (1 + ||M||), 0] are clipped to 0; anything more
-    negative means the certificate refused and this raises instead.
+    Eigenvalues in [-DEFAULT_PSD_TOL (1 + ||M||), 0] are clipped to 0; anything
+    more negative means the certificate refused and this raises instead.
     """
-    cert = certify_monotone(f, L, tol)
+    cert = certify_monotone(f, L)
     if not cert.certified:
         w = cert.witness
         raise DomainError(
@@ -212,7 +212,7 @@ def choi_at(f: FreeSeries, X: MatrixTuple, tol: float = DEFAULT_PSD_TOL) -> Choi
             # eigenvalues ascend, so those above the cutoff are the top ones
             top = np.flatnonzero(vals > cutoff)[::-1]
             V = np.conj(np.sqrt(vals[top])[:, None] * vecs.T[top])
-            kraus = tuple(V.reshape(-1, n, n))
+            kraus = tuple(V.reshape(len(top), n, n))
             rebuilt = V.conj().T @ V  # block (p, q) is sum_j V_j* E_pq V_j
             # the n x n blocks (p, q) of C and of rebuilt, stacked as (n, n, n, n)
             D, R = (M.reshape(n, n, n, n).swapaxes(1, 2) for M in (C, rebuilt))
@@ -234,18 +234,12 @@ class MonotoneSampleReport:
         return self.violations == 0
 
 
-def sample_monotone_test(
-    f: FreeSeries,
-    n: int,
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = DEFAULT_PSD_TOL,
-) -> MonotoneSampleReport:
+def sample_monotone_test(f: FreeSeries, n: int, trials: int = 100, seed: int = 0) -> MonotoneSampleReport:
     """Sampled check of monotonicity: X <= Y implies f(X) <= f(Y), locally too.
 
     Per trial draws a self-adjoint X in the evaluation domain, a PSD
     perturbation P with Y = X + eps P still inside, and a PSD direction H;
-    checks f(Y) - f(X) >= -tol and Df(X)[H] >= -tol (relative verdicts).
+    checks f(Y) - f(X) >= 0 and Df(X)[H] >= 0 (psd_min_eig's relative verdicts).
     """
     require_real_free(f, "sample_monotone_test")
     if f.decay_rate is not None:
@@ -261,10 +255,10 @@ def sample_monotone_test(
         eps = 0.1 * radius / max(P.max_norm(), 1e-30)
         Y = MatrixTuple(X.mats + eps * P.mats)
         gap = eval_series(f, Y).value - eval_series(f, X).value
-        rep_gap = psd_min_eig(hermitianize(gap), tol)
+        rep_gap = psd_min_eig(hermitianize(gap))
         H = sample("psd_direction", n, f.d, seed + 31 * t + 2)
         D = derivative(f, X, H, method="block")
-        rep_der = psd_min_eig(hermitianize(D), tol)
+        rep_der = psd_min_eig(hermitianize(D))
         for rep in (rep_gap, rep_der):
             worst = min(worst, rep.min_eig)
             if not rep.is_psd:

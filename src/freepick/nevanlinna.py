@@ -191,7 +191,8 @@ class RepresentationSpec(PencilScaffold):
             return self.A, self.v.conj().reshape(1, -1), self.v.reshape(-1, 1), None
         if self.kind == 3:
             B = np.eye(self.m) - 1j * self.A
-            return self.A, (self.v.conj() @ B).reshape(1, -1), la.solve(B, self.v).reshape(-1, 1), None
+            B_inv_v = checked_solve(B, self.v, "kind-3 constant I - iA")
+            return self.A, (self.v.conj() @ B).reshape(1, -1), B_inv_v.reshape(-1, 1), None
         nN = self.dimN
         k = self.m - nN
         T = np.zeros((self.m, self.m), dtype=np.complex128)
@@ -202,7 +203,8 @@ class RepresentationSpec(PencilScaffold):
         D1[nN:, nN:] = self.A
         EK = np.zeros((self.m, self.m), dtype=np.complex128)
         EK[nN:, nN:] = np.eye(k)
-        return D1, (self.v.conj() @ T).reshape(1, -1), la.solve(T, self.v).reshape(-1, 1), EK
+        T_inv_v = checked_solve(T, self.v, "kind-4 constant T = -iI (+) (I - iA)")
+        return D1, (self.v.conj() @ T).reshape(1, -1), T_inv_v.reshape(-1, 1), EK
 
 
 def _require_half_plane(Zs: np.ndarray) -> None:

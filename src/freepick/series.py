@@ -415,13 +415,13 @@ def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
 
 
 # no library caller; kept because perfbench/spans.py traces it by name
-def monomial_vector(X: MatrixTuple, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
+def monomial_vector(X: MatrixTuple, L: int) -> np.ndarray:
     """The stacked monomial vector m_X: block-row I is X^I in canonical order."""
-    order = W.enumerate_words(X.d, L, budget=budget)
+    order = W.enumerate_words(X.d, L)
     return W.monomial_stack(X, order).reshape(len(order) * X.n, X.n)
 
 
-def localizing_matrix(f: FreeSeries, k: int, L: int, budget: int = W.WORD_BUDGET) -> np.ndarray:
+def localizing_matrix(f: FreeSeries, k: int, L: int) -> np.ndarray:
     """The truncated x_k-localizing matrix (c_{I* x_k J})_{I,J}, |I|,|J| <= L.
 
     Scattered from the series' split list: every stored word w = I* x_k J
@@ -430,7 +430,7 @@ def localizing_matrix(f: FreeSeries, k: int, L: int, budget: int = W.WORD_BUDGET
     """
     if not 1 <= k <= f.d:
         raise ValueError(f"letter k={k} is outside 1..{f.d}")
-    order = W.enumerate_words(f.d, L, budget=budget)
+    order = W.enumerate_words(f.d, L)
     s = f.splits
     count = len(order)
     pick = (s.letter == k) & (s.pos_i < count) & (s.pos_j < count)
@@ -479,7 +479,6 @@ def derivative(
     X: MatrixTuple,
     H: MatrixTuple,
     method: str = BLOCK,
-    fd_step: float = FD_STEP,
     richardson: bool = False,
 ) -> np.ndarray:
     """Directional derivative Df(X)[H], by one of three routes.
@@ -494,8 +493,8 @@ def derivative(
       :func:`pencil_contraction`, so no count x count pencil is built, and
       the sum over I is two GEMMs per letter: the stacked X^{I*} times H_k,
       then those products side by side times the stacked T_I;
-    - fd: central difference (f(X + tH) - f(X - tH)) / 2t, with optional
-      Richardson refinement.
+    - fd: central difference (f(X + tH) - f(X - tH)) / 2t at t = FD_STEP,
+      with optional Richardson refinement.
 
     All three agree within 1e-6 relative on validated inputs, and the output
     is linear in H.
@@ -527,17 +526,14 @@ def derivative(
             for Hk, Tk in zip(H.mats, T)
         )
     if method == FD:
-        if not fd_step > 0:
-            raise ValueError("fd_step must be positive")
-
         def central(t: float) -> np.ndarray:
             plus = MatrixTuple(X.mats + t * H.mats)
             minus = MatrixTuple(X.mats - t * H.mats)
             return (eval_series(f, plus).value - eval_series(f, minus).value) / (2 * t)
 
         if richardson:
-            return (4 * central(fd_step / 2) - central(fd_step)) / 3
-        return central(fd_step)
+            return (4 * central(FD_STEP / 2) - central(FD_STEP)) / 3
+        return central(FD_STEP)
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,10 +69,15 @@ class WordOrder:
 
     d: int
     degree: int
-    words: tuple[Word, ...]
 
     def __len__(self) -> int:
-        return len(self.words)
+        return word_count(self.d, self.degree)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """The words as tuples, built on first read; len needs only d and degree."""
+        letters = range(1, self.d + 1)
+        return tuple(itertools.chain.from_iterable(itertools.product(letters, repeat=l) for l in range(self.degree + 1)))
 
 
 def enumerate_words(d: int, L: int, budget: int = WORD_BUDGET) -> WordOrder:
@@ -89,10 +95,7 @@ def enumerate_words(d: int, L: int, budget: int = WORD_BUDGET) -> WordOrder:
             f"words of length <= {L} in {d} letters exceed the budget of {budget} words; "
             f"the largest degree within it is {top}"
         )
-    words: list[Word] = []
-    for length in range(L + 1):
-        words.extend(itertools.product(range(1, d + 1), repeat=length))
-    return WordOrder(d=d, degree=L, words=tuple(words))
+    return WordOrder(d=d, degree=L)
 
 
 def letter_array(words, width: int) -> np.ndarray:

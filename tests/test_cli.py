@@ -1,14 +1,21 @@
 """End-to-end CLI checks through subprocess, exit codes included."""
 
+import argparse
 import json
+import pathlib
+import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from freepick import cli
 from freepick.matcore import DISK_TO_HALF, MatrixTuple
 from freepick.series import FreeSeries, eval_series
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*args):
@@ -218,13 +225,14 @@ def test_cayley_sends_origin_to_i(fixtures_dir):
         np.testing.assert_allclose(as_matrix(mat), 1j * np.eye(2), atol=1e-12)
 
 
-def test_cayley_accepts_canonical_direction_name(fixtures_dir):
+def test_cayley_refuses_the_library_direction_name(fixtures_dir):
     proc = run(
         "cayley",
         "--point", fx(fixtures_dir, "zero2_point.json"),
         "--direction", DISK_TO_HALF,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 1
+    assert "invalid choice: 'disk_to_half'" in proc.stderr
 
 
 # ---------------------------------------------------------------- error paths
@@ -294,7 +302,7 @@ def test_wrong_spec_file_exits_one(fixtures_dir, argv, message):
 
 def test_bad_config_exits_one(fixtures_dir):
     proc = run(
-        "monotone",
+        "axioms",
         "--series", fx(fixtures_dir, "x3_series.json"),
         "--samples", "0",
     )
@@ -334,8 +342,6 @@ def test_series_schema_holes_exit_one(fixtures_dir, tmp_path, patch, message):
 
 def test_decay_bound_past_the_float_range_runs(fixtures_dir, tmp_path):
     # one 120-letter word at decay rate 0.001: its bound 1e360 passes the float range
-    from freepick import cli
-
     deep = tmp_path / "deep.json"
     terms = [{"word": [1] * 120, "re": 1.0}, {"word": [1], "re": 0.5}]
     deep.write_text(json.dumps({"d": 1, "degree": 120, "real_free": True, "decay_rate": 0.001, "terms": terms}))
@@ -382,8 +388,6 @@ def test_reports_are_byte_identical(fixtures_dir):
 def test_in_process_calls_share_one_parser(fixtures_dir, tmp_path, capsys):
     # the parser is built once; a usage error, other commands and other
     # flag values in between leave later reports unchanged
-    from freepick import cli
-
     assert cli.build_parser() is cli.build_parser()
     out = tmp_path / "eval.json"
     args = ["eval", "--series", fx(fixtures_dir, "x3_series.json"), "--point", fx(fixtures_dir, "y_point.json")]
@@ -393,9 +397,57 @@ def test_in_process_calls_share_one_parser(fixtures_dir, tmp_path, capsys):
         cli.main(["eval", "--series", fx(fixtures_dir, "x3_series.json")])
     assert exc.value.code == 1
     assert cli.main(["monotone", "--series", fx(fixtures_dir, "x3_series.json"), "--degree", "2", "--out", str(tmp_path / "m.json")]) == 2
-    assert cli.main(args + ["--seed", "5", "--out", str(tmp_path / "seeded.json")]) == 0
+    seeded = ["axioms", "--series", fx(fixtures_dir, "x3_series.json"), "--samples", "3", "--seed", "5"]
+    assert cli.main(seeded + ["--out", str(tmp_path / "seeded.json")]) == 0
     assert json.loads((tmp_path / "seeded.json").read_text())["config"]["seed"] == 5
     assert cli.main(args + ["--out", str(out)]) == 0
     assert out.read_text() == first
     assert json.loads(first)["config"]["seed"] == 0
     assert "usage: freepick eval" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- config flags
+
+COMMAND_ARGS = {
+    "eval": ["--series", "x3_series.json", "--point", "x_point.json"],
+    "deriv": ["--series", "x3_series.json", "--point", "x_point.json", "--direction", "h_dir.json"],
+    "monotone": ["--series", "halfres_series.json"],
+    "interpolate": ["--point", "jordan_point.json", "--direction", "jordan_target.json"],
+    "axioms": ["--series", "x3_series.json"],
+    "rep-eval": ["--rep", "type1_rep.json", "--point", "pi2_point.json"],
+    "rep-classify": ["--rep", "type1_rep.json"],
+    "herglotz-eval": ["--model", "moebius_model.json", "--point", "half_scalar_point.json"],
+    "cayley": ["--point", "zero2_point.json", "--direction", "disk2half"],
+}
+CONFIG_FLAGS = {"monotone": {"degree", "tol"}, "interpolate": {"degree"}, "axioms": {"tol", "seed", "samples", "dim"}}
+FLAG_VALUES = {"degree": "2", "tol": "1e-08", "seed": "3", "samples": "4", "dim": "1"}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_command_takes_only_the_config_flags_it_reads(fixtures_dir, tmp_path, capsys, command, flag):
+    out = tmp_path / "report.json"
+    argv = [command, *(fx(fixtures_dir, a) if a.endswith(".json") else a for a in COMMAND_ARGS[command])]
+    argv += [f"--{flag}", FLAG_VALUES[flag], "--out", str(out)]
+    if flag not in CONFIG_FLAGS.get(command, ()):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: --{flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+        return
+    assert cli.main(argv) == 0
+    want = asdict(cli.RunConfig())
+    want[flag] = type(want[flag])(FLAG_VALUES[flag])
+    assert json.loads(out.read_text())["config"] == want
+
+
+def parser_flags() -> dict[str, set[str]]:
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in c._actions for s in a.option_strings} for name, c in sub.choices.items()}
+
+
+def test_readme_lists_each_command_flags():
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name: set(re.findall(r"--[\w-]+", flags)) for name, flags in re.findall(r"^- `([\w-]+)`: (.*)$", section, flags=re.M)}
+    assert listed == {name: flags - {"-h", "--help", "--out"} for name, flags in parser_flags().items()}
+    assert all("--out" in flags for flags in parser_flags().values())

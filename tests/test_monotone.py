@@ -223,6 +223,13 @@ def test_choi_rejects_mismatched_lengths(d2res_series):
         choi_at(d2res_series, scaled_hermitian(2, 1, 0.1, seed=1))
 
 
+def test_choi_at_size_zero_is_cp(d2res_series):
+    rep = choi_at(d2res_series, MatrixTuple(np.zeros((2, 0, 0))))
+    assert len(rep.coordinates) == 2
+    assert all(c.kraus == () for c in rep.coordinates)
+    assert rep.all_cp
+
+
 def test_choi_domain_gates(halfres_series):
     with pytest.raises(DomainError, match="self-adjoint"):
         choi_at(halfres_series, MatrixTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freepick.jsonio import parse_spec
-from freepick.matcore import DomainError, MatrixTuple, imag_part, sample
+from freepick.matcore import DomainError, MatrixTuple, SingularityError, imag_part, sample
 from freepick.nevanlinna import (
     AsymptoticProbe,
     RepresentationSpec,
@@ -135,6 +135,13 @@ def test_spec_rejects_nonfinite_constant(kind, bad):
 def test_y_kinds_reject_dimN(kind):
     with pytest.raises(ValueError, match="dimN"):
         RepresentationSpec(kind=kind, a=0.0, m=1, A=np.eye(1), v=[1.0], Y=(np.eye(1),), dimN=0)
+
+
+def test_ill_conditioned_kind3_constant_is_refused():
+    # I - iA has singular values sqrt(1 + lambda^2): condition number about 1e13
+    spec = RepresentationSpec(kind=3, a=0.0, m=2, A=np.diag([0.0, 1e13]), v=[0.6, 0.8], Y=(np.eye(2),))
+    with pytest.raises(SingularityError, match=r"^kind-3 constant I - iA has condition number 1\.000e\+13 > 1e\+12$"):
+        eval_representation(spec, half_point(1j, 1))
 
 
 def test_spec_shape_properties():

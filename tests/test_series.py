@@ -316,8 +316,6 @@ def test_derivative_validation_errors(x3_series):
         derivative(x3_series, X, H3)
     with pytest.raises(ValueError, match="unknown method"):
         derivative(x3_series, X, X, method="adjoint")
-    with pytest.raises(ValueError, match="fd_step"):
-        derivative(x3_series, X, X, method=FD, fd_step=0.0)
 
 
 def test_localizing_warns_outside_small_polydisk(halfres_series):

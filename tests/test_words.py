@@ -38,6 +38,12 @@ def test_enumeration_degree_zero():
     assert enumerate_words(3, 0).words == ((),)
 
 
+def test_order_length_builds_no_words():
+    order = enumerate_words(1, 15000)
+    assert len(order) == 15001
+    assert "words" not in vars(order)
+
+
 def test_empty_word_is_position_zero():
     order = enumerate_words(2, 3)
     assert order.words.index(EMPTY) == 0
