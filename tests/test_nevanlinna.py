@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,150 @@ def test_spec_rejects_nonfinite_constant(kind, bad):
 def test_y_kinds_reject_dimN(kind):
     with pytest.raises(ValueError, match="dimN"):
         RepresentationSpec(kind=kind, a=0.0, m=1, A=np.eye(1), v=[1.0], Y=(np.eye(1),), dimN=0)
+
+
+Y_BASE = dict(
+    kind=2, a=0.0, m=2, A=np.diag([1.0, 2.0]), v=[1.0, 0.0],
+    Y=(np.diag([0.3, 0.6]), np.diag([0.7, 0.4])),
+)
+P_BASE = dict(
+    kind=4, a=0.0, m=3, A=np.array([[0.5, 0.1], [0.1, -0.3]]), v=[0.8, 0.36, 0.48],
+    P=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])), dimN=1,
+)
+NOT_HERMITIAN_2 = np.array([[1.0, 1.0], [0.0, 2.0]])
+NOT_PSD_Y = (np.diag([-0.1, 0.6]), np.diag([1.1, 0.4]))
+REJECTIONS = [
+    # fields shared by every kind
+    (Y_BASE, dict(kind=5), "kind must be 1..4, got 5", "kind-range"),
+    (Y_BASE, dict(a=np.nan), "a must be finite, got nan", "a-nonfinite"),
+    (Y_BASE, dict(v=[1.0, 0.0, 0.0]), "v must be a length-2 vector, got shape (3,)", "v-length"),
+    (Y_BASE, dict(v=[np.inf, 0.0]), "v has non-finite entries", "v-nonfinite"),
+    (Y_BASE, dict(kind=1, a=0.5), "kind 1 requires a = 0", "kind1-constant"),
+    # kinds 1-3, one fault each
+    (Y_BASE, dict(Y=None), "kind 2 requires a positive decomposition Y", "y-missing"),
+    (Y_BASE, dict(kind=3, Y=None), "kind 3 requires a positive decomposition Y", "y-missing-kind3"),
+    (Y_BASE, dict(P=(np.eye(2),)), "Y-kinds do not take projections P", "y-forbids-P"),
+    (Y_BASE, dict(dimN=0), "Y-kinds do not take dimN", "y-forbids-dimN"),
+    (Y_BASE, dict(A=np.diag([1.0, np.nan])), "A has non-finite entries", "y-A-nonfinite"),
+    (Y_BASE, dict(Y=(np.eye(2), np.diag([0.0, np.inf]))), "Y_2 has non-finite entries", "y-part-nonfinite"),
+    (Y_BASE, dict(A=np.eye(3)), "A must be 2x2, got (3, 3)", "y-A-shape"),
+    (Y_BASE, dict(A=NOT_HERMITIAN_2), "A is not Hermitian within 1e-10", "y-A-hermitian"),
+    (Y_BASE, dict(Y=(np.eye(3), np.zeros((2, 2)))), "Y_1 must be 2x2, got (3, 3)", "y-part-shape"),
+    (
+        Y_BASE, dict(Y=(np.diag([0.3, 0.6]), np.array([[0.7, 0.1], [0.0, 0.4]]))),
+        "Y_2 is not Hermitian within 1e-10", "y-part-hermitian",
+    ),
+    (Y_BASE, dict(Y=NOT_PSD_Y), "Y_1 is not PSD within 1e-10", "y-part-psd"),
+    (Y_BASE, dict(Y=(np.diag([0.3, 0.6]), np.diag([0.7, 0.5]))), "sum of Y_i differs from the identity", "y-sum"),
+    # kind 4, one fault each
+    (P_BASE, dict(P=None), "kind 4 requires projections P and dimN", "p-missing-P"),
+    (P_BASE, dict(dimN=None), "kind 4 requires projections P and dimN", "p-missing-dimN"),
+    (P_BASE, dict(Y=(np.eye(3),)), "kind 4 does not take a positive decomposition Y", "p-forbids-Y"),
+    (P_BASE, dict(dimN=4), "dimN must lie in 0..3, got 4", "p-dimN-high"),
+    (P_BASE, dict(dimN=-1), "dimN must lie in 0..3, got -1", "p-dimN-negative"),
+    (P_BASE, dict(A=np.diag([np.inf, 1.0])), "A has non-finite entries", "p-A-nonfinite"),
+    (P_BASE, dict(P=(np.diag([np.nan, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]))), "P_1 has non-finite entries", "p-part-nonfinite"),
+    (P_BASE, dict(A=np.eye(3)), "A must act on the K block alone (2x2), got (3, 3)", "p-A-shape"),
+    (P_BASE, dict(A=NOT_HERMITIAN_2), "A is not Hermitian within 1e-10", "p-A-hermitian"),
+    (P_BASE, dict(P=(np.diag([1.0, 1.0, 0.0]), np.eye(2))), "P_2 must be 3x3, got (2, 2)", "p-part-shape"),
+    (
+        P_BASE, dict(P=(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), np.diag([0.0, 0.0, 1.0]))),
+        "P_1 is not Hermitian within 1e-10", "p-part-hermitian",
+    ),
+    (
+        P_BASE, dict(P=(np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 0.5, 1.0]))),
+        "P_1 is not idempotent within 1e-10", "p-part-idempotent",
+    ),
+    (
+        P_BASE, dict(P=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]), np.diag([0.0, 0.0, 1.0]))),
+        "P_2 P_3 is not zero", "p-orthogonal",
+    ),
+    (P_BASE, dict(P=(np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0]))), "sum of P_i differs from the identity", "p-sum"),
+    # two faults: the earlier check names the first
+    (Y_BASE, dict(A=np.diag([np.nan, 1.0]), Y=None), "A has non-finite entries", "A-nonfinite+y-missing"),
+    (Y_BASE, dict(Y=None, P=(np.eye(2),)), "kind 2 requires a positive decomposition Y", "y-missing+forbids-P"),
+    (Y_BASE, dict(Y=(NOT_PSD_Y[0], np.eye(3))), "Y_1 is not PSD within 1e-10", "y1-psd+y2-shape"),
+    (Y_BASE, dict(Y=(np.eye(3), -np.eye(2))), "Y_1 must be 2x2, got (3, 3)", "y1-shape+y2-psd"),
+    (
+        Y_BASE, dict(Y=(np.array([[-1.0, 1.0], [0.0, 0.0]]), np.eye(2))),
+        "Y_1 is not Hermitian within 1e-10", "y1-hermitian+psd",
+    ),
+    (Y_BASE, dict(Y=(NOT_PSD_Y[0], np.diag([np.nan, 0.4]))), "Y_2 has non-finite entries", "y1-psd+y2-nonfinite"),
+    (Y_BASE, dict(A=NOT_HERMITIAN_2, Y=(np.eye(3), np.eye(2))), "A is not Hermitian within 1e-10", "A-hermitian+y1-shape"),
+    (Y_BASE, dict(A=np.eye(3), Y=(np.eye(2), np.diag([0.0, np.inf]))), "Y_2 has non-finite entries", "A-shape+y2-nonfinite"),
+    (P_BASE, dict(P=None, Y=(np.eye(3),)), "kind 4 requires projections P and dimN", "p-missing+forbids-Y"),
+    (
+        P_BASE, dict(dimN=4, P=(np.diag([np.nan, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]))),
+        "dimN must lie in 0..3, got 4", "dimN-range+p1-nonfinite",
+    ),
+    (
+        P_BASE, dict(A=np.eye(3), P=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, np.inf]))),
+        "P_2 has non-finite entries", "A-shape+p2-nonfinite",
+    ),
+    (
+        P_BASE, dict(P=(np.eye(2), np.diag([0.0, 0.5, 1.0]))),
+        "P_1 must be 3x3, got (2, 2)", "p1-shape+p2-idempotent",
+    ),
+    (
+        P_BASE, dict(P=(np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 1.0]))),
+        "P_1 is not idempotent within 1e-10", "p1-idempotent+p1p2-orthogonal",
+    ),
+    (
+        P_BASE, dict(P=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0]))),
+        "P_1 P_2 is not zero", "p1p2-orthogonal+sum",
+    ),
+]
+
+
+@pytest.mark.parametrize("base", [Y_BASE, P_BASE], ids=["Y", "P"])
+def test_rejection_table_bases_are_valid(base):
+    RepresentationSpec(**base)
+
+
+@pytest.mark.parametrize(
+    ("base", "change", "message"), [pytest.param(*case[:3], id=case[3]) for case in REJECTIONS]
+)
+def test_spec_rejection_messages(base, change, message):
+    # the full message of the first failing check, in the order the checks run
+    with pytest.raises(ValueError) as info:
+        RepresentationSpec(**{**base, **change})
+    assert str(info.value) == message
+
+
+def _pencil_constant_specs():
+    fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
+    no_N = dict(P_BASE, A=np.array([[0.5, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.7]]), dimN=0)
+    return [
+        parse_spec(str(fixtures / "type3_rep.json")),
+        parse_spec(str(fixtures / "type4_rep.json")),
+        RepresentationSpec(**no_N),
+    ]
+
+
+@pytest.mark.parametrize("spec", _pencil_constant_specs(), ids=["type3", "type4", "type4-dimN0"])
+def test_pencil_constants_match_formulas_bit_for_bit(spec):
+    m, A, v = spec.m, spec.A, spec.v
+    if spec.kind == 3:
+        B = np.eye(m) - 1j * A
+        expected = (A, (v.conj() @ B).reshape(1, -1), np.linalg.solve(B, v).reshape(-1, 1), None)
+    else:
+        nN = spec.dimN
+        T = np.zeros((m, m), dtype=np.complex128)
+        T[:nN, :nN] = -1j * np.eye(nN)
+        T[nN:, nN:] = np.eye(m - nN) - 1j * A
+        D1 = np.zeros((m, m), dtype=np.complex128)
+        D1[:nN, :nN] = np.eye(nN)
+        D1[nN:, nN:] = A
+        EK = np.zeros((m, m), dtype=np.complex128)
+        EK[nN:, nN:] = np.eye(m - nN)
+        expected = (D1, (v.conj() @ T).reshape(1, -1), np.linalg.solve(T, v).reshape(-1, 1), EK)
+    got = spec.pencil_constants
+    assert len(got) == 4
+    for g, e in zip(got, expected):
+        if e is None:
+            assert g is None
+        else:
+            assert g.dtype == np.complex128 and np.array_equal(g, e)
 
 
 def test_ill_conditioned_kind3_constant_is_refused():
