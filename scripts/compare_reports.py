@@ -13,8 +13,10 @@ with --out to report.json in a fresh working directory of its own, so the
 argv is the same for both trees.
 The report bytes, stdout, stderr and exit code of the two runs are
 compared, with the tree's own path in stderr (a warning's source line)
-written as <src>. One line per command says `same` or names what differs;
-the exit status is 1 when anything differs, else 0.
+written as <src> and the line number of a source location under it as
+<line>, so an edit that only moves the warning's calling line compares
+the same. One line per command says `same` or names what differs; the exit
+status is 1 when anything differs, else 0.
 """
 
 import argparse
@@ -112,7 +114,13 @@ def run(src: Path, argv: list[str]) -> tuple[bytes | None, str, str, int]:
         )
         out = Path(cwd) / "report.json"
         report = out.read_bytes() if out.exists() else None
-    return report, proc.stdout, proc.stderr.replace(str(src), "<src>"), proc.returncode
+    return report, proc.stdout, normalize_stderr(proc.stderr, src), proc.returncode
+
+
+def normalize_stderr(text: str, src: Path) -> str:
+    """stderr with the tree's path as <src> and the line number of a source
+    location under it as <line>."""
+    return re.sub(r"(<src>\S*?\.py):\d+:", r"\1:<line>:", text.replace(str(src), "<src>"))
 
 
 def main() -> int:

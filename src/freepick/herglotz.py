@@ -164,11 +164,11 @@ def eval_herglotz_batch(
     return -1j * model.a * np.eye(n) + v_row @ sol
 
 
-def herglotz_evaluator(model: HerglotzModel, form: str = CAYLEY_FORM) -> Callable[[MatrixTuple], np.ndarray]:
-    """The model as a black-box evaluator (axiom fuzzing, bridges)."""
+def herglotz_evaluator(model: HerglotzModel) -> Callable[[MatrixTuple], np.ndarray]:
+    """The model in the Cayley form as a black-box evaluator (axiom fuzzing, bridges)."""
 
     def ev(X: MatrixTuple) -> np.ndarray:
-        return eval_herglotz(model, X, form)
+        return eval_herglotz(model, X)
 
     return ev
 

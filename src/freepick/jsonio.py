@@ -29,6 +29,14 @@ def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
 
 
+def _build(make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a schema error at $."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"$: {exc}") from exc
+
+
 def _load(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -131,12 +139,9 @@ def parse_series(path: str) -> FreeSeries:
         re = _as_number(_get(term, "re", tpath), tpath + ".re")
         im = _as_number(term.get("im", 0.0), tpath + ".im")
         coeffs[word] = complex(re, im)
-    try:
-        f = FreeSeries(d=d, degree=degree, coeffs=coeffs, real_free=real_free, decay_rate=decay)
-        if real_free:
-            require_real_free(f, path)
-    except ValueError as exc:
-        raise SchemaError(f"$: {exc}") from exc
+    f = _build(FreeSeries, d=d, degree=degree, coeffs=coeffs, real_free=real_free, decay_rate=decay)
+    if real_free:
+        _build(require_real_free, f, path)
     return f
 
 
@@ -153,10 +158,7 @@ def parse_tuple(path: str) -> MatrixTuple:
         if A.shape != (n, n):
             _fail(f"$.matrices[{i}]", f"expected shape {n}x{n}, got {A.shape[0]}x{A.shape[1]}")
         parsed.append(A)
-    try:
-        return MatrixTuple(tuple(parsed))
-    except ValueError as exc:
-        raise SchemaError(f"$: {exc}") from exc
+    return _build(MatrixTuple, tuple(parsed))
 
 
 def parse_matrix(path: str) -> np.ndarray:
@@ -187,10 +189,7 @@ def _parse_representation(data: dict) -> RepresentationSpec:
     dimN = data.get("dimN")
     if dimN is not None:
         dimN = _as_int(dimN, "$.dimN")
-    try:
-        return RepresentationSpec(kind=kind, a=a, m=m, A=A, v=v, Y=Y, P=P, dimN=dimN)
-    except ValueError as exc:
-        raise SchemaError(f"$: {exc}") from exc
+    return _build(RepresentationSpec, kind=kind, a=a, m=m, A=A, v=v, Y=Y, P=P, dimN=dimN)
 
 
 def _parse_model(data: dict) -> HerglotzModel:
@@ -199,10 +198,7 @@ def _parse_model(data: dict) -> HerglotzModel:
     U = _as_matrix(_get(data, "U", "$"), "$.U")
     v = _as_vector(_get(data, "v", "$"), "$.v")
     a = _as_number(data.get("a", 0.0), "$.a")
-    try:
-        return HerglotzModel(d=d, m=m, U=U, v=v, a=a)
-    except ValueError as exc:
-        raise SchemaError(f"$: {exc}") from exc
+    return _build(HerglotzModel, d=d, m=m, U=U, v=v, a=a)
 
 
 def complex_to_json(z: complex) -> list[float] | None:

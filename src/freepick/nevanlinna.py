@@ -29,10 +29,12 @@ delta(Z) = sum_i Y_i (x) Z_i (P_i for kind 4):
                  projection onto K; with T = -i I_N (+) (I - iA), l = v* T
                  and R = (delta(Z)(D1 (x) I) + E_K (x) I)(T^{-1} v (x) I).
 
-B, T, D1, E_K and the two vectors are computed once per spec, and their
-tensor products with I_n once per spec and per n (PencilScaffold). A batch
-of same-size points is one stack of pencils and one guarded solve
-(eval_representation_batch); eval_representation is a batch of one.
+Kind 3 is the empty-N case of the kind-4 constants: with dimN = 0, T is B
+and D1 is A, and kind 3 has no E_K. T, D1, E_K and the two vectors are
+computed once per spec, and their tensor products with I_n once per spec
+and per n (PencilScaffold). A batch of same-size points is one stack of
+pencils and one guarded solve (eval_representation_batch);
+eval_representation is a batch of one.
 """
 
 from __future__ import annotations
@@ -114,67 +116,51 @@ class RepresentationSpec(PencilScaffold):
         object.__setattr__(self, "v", _as_vector(self.v, self.m))
         if self.kind == 1 and self.a != 0.0:
             raise ValueError("kind 1 requires a = 0")
-        if self.kind == 4:
-            self._check_kind4()
+        projective = self.kind == 4
+        if projective:
+            if self.P is None or self.dimN is None:
+                raise ValueError("kind 4 requires projections P and dimN")
+            if self.Y is not None:
+                raise ValueError("kind 4 does not take a positive decomposition Y")
+            if not 0 <= self.dimN <= self.m:
+                raise ValueError(f"dimN must lie in 0..{self.m}, got {self.dimN}")
+            name, parts, k = "P", self.P, self.m - self.dimN
+            A_shape = f"act on the K block alone ({k}x{k})"
         else:
-            self._check_positive_decomposition()
-
-    def _check_positive_decomposition(self) -> None:
-        if self.Y is None:
-            raise ValueError(f"kind {self.kind} requires a positive decomposition Y")
-        if self.P is not None:
-            raise ValueError("Y-kinds do not take projections P")
-        if self.dimN is not None:
-            raise ValueError("Y-kinds do not take dimN")
-        mats = tuple(_as_finite(Yi, f"Y_{i}") for i, Yi in enumerate(self.Y, start=1))
-        object.__setattr__(self, "Y", mats)
-        if self.A.shape != (self.m, self.m):
-            raise ValueError(f"A must be {self.m}x{self.m}, got {self.A.shape}")
-        _check_hermitian(self.A, "A")
-        total = np.zeros((self.m, self.m), dtype=np.complex128)
-        for i, Yi in enumerate(mats, start=1):
-            if Yi.shape != (self.m, self.m):
-                raise ValueError(f"Y_{i} must be {self.m}x{self.m}, got {Yi.shape}")
-            _check_hermitian(Yi, f"Y_{i}")
-            if la.eigvalsh((Yi + Yi.conj().T) / 2).min() < -STRUCTURE_TOL:
-                raise ValueError(f"Y_{i} is not PSD within {STRUCTURE_TOL:g}")
-            total += Yi
-        if spectral_norm(total - np.eye(self.m)) > STRUCTURE_TOL:
-            raise ValueError("sum of Y_i differs from the identity")
-
-    def _check_kind4(self) -> None:
-        if self.P is None or self.dimN is None:
-            raise ValueError("kind 4 requires projections P and dimN")
-        if self.Y is not None:
-            raise ValueError("kind 4 does not take a positive decomposition Y")
-        if not 0 <= self.dimN <= self.m:
-            raise ValueError(f"dimN must lie in 0..{self.m}, got {self.dimN}")
-        mats = tuple(_as_finite(Pi, f"P_{i}") for i, Pi in enumerate(self.P, start=1))
-        object.__setattr__(self, "P", mats)
-        k = self.m - self.dimN
+            if self.Y is None:
+                raise ValueError(f"kind {self.kind} requires a positive decomposition Y")
+            if self.P is not None:
+                raise ValueError("Y-kinds do not take projections P")
+            if self.dimN is not None:
+                raise ValueError("Y-kinds do not take dimN")
+            name, parts, k = "Y", self.Y, self.m
+            A_shape = f"be {k}x{k}"
+        mats = tuple(_as_finite(M, f"{name}_{i}") for i, M in enumerate(parts, start=1))
+        object.__setattr__(self, name, mats)
         if self.A.shape != (k, k):
-            raise ValueError(
-                f"A must act on the K block alone ({k}x{k}), got {self.A.shape}"
-            )
+            raise ValueError(f"A must {A_shape}, got {self.A.shape}")
         _check_hermitian(self.A, "A")
         total = np.zeros((self.m, self.m), dtype=np.complex128)
-        for i, Pi in enumerate(mats, start=1):
-            if Pi.shape != (self.m, self.m):
-                raise ValueError(f"P_{i} must be {self.m}x{self.m}, got {Pi.shape}")
-            _check_hermitian(Pi, f"P_{i}")
-            if spectral_norm(Pi @ Pi - Pi) > STRUCTURE_TOL:
-                raise ValueError(f"P_{i} is not idempotent within {STRUCTURE_TOL:g}")
-            total += Pi
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if spectral_norm(mats[i] @ mats[j]) > STRUCTURE_TOL:
-                    raise ValueError(f"P_{i + 1} P_{j + 1} is not zero")
+        for i, M in enumerate(mats, start=1):
+            if M.shape != (self.m, self.m):
+                raise ValueError(f"{name}_{i} must be {self.m}x{self.m}, got {M.shape}")
+            _check_hermitian(M, f"{name}_{i}")
+            if projective and spectral_norm(M @ M - M) > STRUCTURE_TOL:
+                raise ValueError(f"{name}_{i} is not idempotent within {STRUCTURE_TOL:g}")
+            if not projective and la.eigvalsh((M + M.conj().T) / 2).min() < -STRUCTURE_TOL:
+                raise ValueError(f"{name}_{i} is not PSD within {STRUCTURE_TOL:g}")
+            total += M
+        if projective:
+            for i in range(len(mats)):
+                for j in range(i + 1, len(mats)):
+                    if spectral_norm(mats[i] @ mats[j]) > STRUCTURE_TOL:
+                        raise ValueError(f"P_{i + 1} P_{j + 1} is not zero")
         if spectral_norm(total - np.eye(self.m)) > STRUCTURE_TOL:
-            raise ValueError("sum of P_i differs from the identity")
+            raise ValueError(f"sum of {name}_i differs from the identity")
 
     @property
     def d(self) -> int:
-        return len(self.Y if self.Y is not None else self.P)
+        return len(self.decomposition)
 
     @property
     def decomposition(self) -> tuple[np.ndarray, ...]:
@@ -189,21 +175,20 @@ class RepresentationSpec(PencilScaffold):
         """(A_0, left row, right column, E_K) of the kind's resolvent, once per spec."""
         if self.kind in (1, 2):
             return self.A, self.v.conj().reshape(1, -1), self.v.reshape(-1, 1), None
-        if self.kind == 3:
-            B = np.eye(self.m) - 1j * self.A
-            B_inv_v = checked_solve(B, self.v, "kind-3 constant I - iA")
-            return self.A, (self.v.conj() @ B).reshape(1, -1), B_inv_v.reshape(-1, 1), None
-        nN = self.dimN
-        k = self.m - nN
+        # kind 3 is kind 4 with an empty N block and no E_K
+        nN = self.dimN or 0
         T = np.zeros((self.m, self.m), dtype=np.complex128)
         T[:nN, :nN] = -1j * np.eye(nN)
-        T[nN:, nN:] = np.eye(k) - 1j * self.A
+        T[nN:, nN:] = np.eye(self.m - nN) - 1j * self.A
         D1 = np.zeros((self.m, self.m), dtype=np.complex128)
         D1[:nN, :nN] = np.eye(nN)
         D1[nN:, nN:] = self.A
-        EK = np.zeros((self.m, self.m), dtype=np.complex128)
-        EK[nN:, nN:] = np.eye(k)
-        T_inv_v = checked_solve(T, self.v, "kind-4 constant T = -iI (+) (I - iA)")
+        EK = None
+        if self.kind == 4:
+            EK = np.zeros((self.m, self.m), dtype=np.complex128)
+            EK[nN:, nN:] = np.eye(self.m - nN)
+        label = "kind-3 constant I - iA" if self.kind == 3 else "kind-4 constant T = -iI (+) (I - iA)"
+        T_inv_v = checked_solve(T, self.v, label)
         return D1, (self.v.conj() @ T).reshape(1, -1), T_inv_v.reshape(-1, 1), EK
 
 
@@ -338,7 +323,6 @@ def asymptotic_probe(evaluator: Callable[[complex], complex], smax: float = 2.0*
 @dataclass(frozen=True)
 class TypeVerdict:
     type: int
-    evidence: AsymptoticProbe
     inconclusive: bool
 
 
@@ -351,12 +335,12 @@ def classify_type(probe: AsymptoticProbe) -> TypeVerdict:
     inconclusive; the caller has the raw sequences either way.
     """
     if probe.scaled_modulus.converged:
-        return TypeVerdict(1, probe, False)
+        return TypeVerdict(1, False)
     if probe.scaled_imag.converged:
-        return TypeVerdict(2, probe, False)
+        return TypeVerdict(2, False)
     if probe.damped_imag.converged and probe.damped_imag.limit == 0.0:
-        return TypeVerdict(3, probe, False)
-    return TypeVerdict(4, probe, not probe.damped_imag.converged)
+        return TypeVerdict(3, False)
+    return TypeVerdict(4, not probe.damped_imag.converged)
 
 
 @dataclass(frozen=True)

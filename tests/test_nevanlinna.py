@@ -1,5 +1,3 @@
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -247,18 +245,13 @@ def test_spec_rejection_messages(base, change, message):
     assert str(info.value) == message
 
 
-def _pencil_constant_specs():
-    fixtures = pathlib.Path(__file__).resolve().parent / "fixtures"
-    no_N = dict(P_BASE, A=np.array([[0.5, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.7]]), dimN=0)
-    return [
-        parse_spec(str(fixtures / "type3_rep.json")),
-        parse_spec(str(fixtures / "type4_rep.json")),
-        RepresentationSpec(**no_N),
-    ]
-
-
-@pytest.mark.parametrize("spec", _pencil_constant_specs(), ids=["type3", "type4", "type4-dimN0"])
-def test_pencil_constants_match_formulas_bit_for_bit(spec):
+@pytest.mark.parametrize("fixture", ["type3_rep", "type4_rep", None], ids=["type3", "type4", "type4-dimN0"])
+def test_pencil_constants_match_formulas_bit_for_bit(fixture, fixtures_dir):
+    if fixture is None:
+        A = np.array([[0.5, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.7]])
+        spec = RepresentationSpec(**dict(P_BASE, A=A, dimN=0))
+    else:
+        spec = parse_spec(str(fixtures_dir / f"{fixture}.json"))
     m, A, v = spec.m, spec.A, spec.v
     if spec.kind == 3:
         B = np.eye(m) - 1j * A

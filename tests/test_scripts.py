@@ -127,3 +127,39 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
     assert out.splitlines()[-1] == "25 of 27 commands identical"
+
+
+WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
+
+
+@pytest.mark.parametrize(
+    ("stderr_b", "verdict"),
+    [
+        (WARNING, "same"),
+        (WARNING.replace(":149:", ":150:"), "same"),
+        (WARNING.replace("cli.py", "series.py"), "differ (stderr)"),
+        (WARNING.replace("small", "closed"), "differ (stderr)"),
+        (WARNING.replace("X, H)", "X, H) # 149"), "differ (stderr)"),
+        ("freepick: x\n", "differ (stderr)"),
+    ],
+    ids=["identical", "moved-line", "other-file", "other-message", "other-number", "other-text"],
+)
+def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tmp_path, monkeypatch, capsys):
+    # the child processes are stubbed; each tree's stderr names a source line under that tree
+    module = load_compare_reports()
+    trees = [tmp_path / "a", tmp_path / "b"]
+    for tree in trees:
+        (tree / "freepick").mkdir(parents=True)
+        (tree / "freepick" / "__init__.py").touch()
+
+    def fake_run(argv, cwd, env, **kwargs):
+        src = env["PYTHONPATH"]
+        stderr = (WARNING if src == str(trees[0]) else stderr_b).format(src=src)
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["compare_reports.py", *map(str, trees)])
+    assert module.main() == (verdict != "same")
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
+    assert lines[-1] == f"{27 if verdict == 'same' else 0} of 27 commands identical"
