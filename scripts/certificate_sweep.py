@@ -23,8 +23,8 @@ def sweep(path: Path, max_degree: int) -> None:
     print(f"{path.name}: d={f.d}, stored degree {f.degree}")
     print("   L  horizon  verdict         min eigenvalue per letter")
     for L in range(1, max_degree + 1):
-        horizon = 2 * L + 1
         cert = certify_monotone(f, L)
+        horizon = cert.coefficient_horizon
         eigs = [rep.min_eig for rep in cert.reports]
         mark = "  <- horizon overflows stored degree" if horizon > f.degree else ""
         eig_text = "  ".join(f"{e: .3e}" for e in eigs)

@@ -44,6 +44,21 @@ GENERIC_POINT = {
 }
 GENERIC_TARGET = [[1.0, [0.3, -0.2]], [-0.5, [0.7, 0.1]]]
 
+# a sparse two-letter series: the x_1 block of its level 3 reaches only half
+# the level above, so the Horner pass starts that level at +0.0 with -0.0 at
+# the parents of the x_2 block (every fixture series has dense levels only)
+SPARSE_SERIES = {
+    "d": 2,
+    "degree": 6,
+    "terms": [
+        {"word": w, "re": c}
+        for w, c in (
+            ([], 0.25), ([2], 0.5), ([2, 1], 1.0), ([1, 2, 2], -1.0),
+            ([1, 2, 1, 2], 1.0), ([1, 1, 2, 1], 1.0), ([2, 2, 1, 2, 1, 1], -0.5),
+        )
+    ],
+}
+
 
 def readme_commands() -> list[list[str]]:
     """The argv of every `freepick ...` line in the README's CLI section,
@@ -59,10 +74,12 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
-def series_commands(point: Path) -> list[list[str]]:
+def series_commands(point: Path, sparse: Path) -> list[list[str]]:
     """The series commands past the README examples: eval and every deriv
     method on halfres, monotone at several degrees (halfres at degree 5 is a
-    README example), eval on d2res at the generic point and an axioms fuzz."""
+    README example), eval on d2res at the generic point, an axioms fuzz, and
+    eval and the block and fd derivatives of the sparse series at the
+    generic point."""
 
     def fixture(name: str) -> str:
         return str(FIXTURES / f"{name}.json")
@@ -75,6 +92,10 @@ def series_commands(point: Path) -> list[list[str]]:
         commands.append(["monotone", "--series", fixture(name), "--degree", str(degree)])
     commands.append(["eval", "--series", fixture("d2res_series"), "--point", str(point)])
     commands.append(["axioms", "--series", fixture("halfres_series"), "--samples", "10"])
+    at = ["--series", str(sparse), "--point", str(point)]
+    commands.append(["eval", *at])
+    for method in ("block", "fd"):
+        commands.append(["deriv", *at, "--direction", fixture("pi2_point"), "--method", method])
     return commands
 
 
@@ -133,10 +154,10 @@ def main() -> int:
         if not (p / "freepick" / "__init__.py").is_file():
             ap.error(f"{p} holds no freepick package")
     with tempfile.TemporaryDirectory() as tmp:
-        point, target = Path(tmp) / "generic_point.json", Path(tmp) / "generic_target.json"
-        point.write_text(json.dumps(GENERIC_POINT), encoding="utf-8")
-        target.write_text(json.dumps(GENERIC_TARGET), encoding="utf-8")
-        commands = readme_commands() + series_commands(point) + tuple_commands(point)
+        point, target, sparse = (Path(tmp) / f"{name}.json" for name in ("generic_point", "generic_target", "sparse_series"))
+        for path, data in ((point, GENERIC_POINT), (target, GENERIC_TARGET), (sparse, SPARSE_SERIES)):
+            path.write_text(json.dumps(data), encoding="utf-8")
+        commands = readme_commands() + series_commands(point, sparse) + tuple_commands(point)
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
         differ = 0
         for argv in commands:

@@ -2,7 +2,8 @@
 
 The block route embeds (X, H) in an upper-triangular 2n x 2n tuple and
 reads the corner, the localizing route contracts the coefficient pencil,
-and the fd route is a Richardson-extrapolated central difference. They
+and the fd route is a central difference (the library also offers a
+Richardson-refined one, which this sweep does not use). They
 compute the same object, so any spread between them is numerical error;
 this sweep reports the worst pairwise gap per (d, n) cell and exits
 nonzero if the spread ever crosses the tolerance.

@@ -89,12 +89,12 @@ def hermitianize(M: np.ndarray) -> np.ndarray:
 class PsdReport:
     """Verdict of a positive-semidefiniteness check.
 
-    is_psd holds exactly when min_eig >= -tol_used * (1 + ||H||_2).
+    is_psd holds exactly when min_eig >= -tol * (1 + ||H||_2), for the tol
+    passed to :func:`psd_min_eig`.
     """
 
     min_eig: float
     is_psd: bool
-    tol_used: float
 
 
 def _reject_coordinates(mats) -> None:
@@ -184,7 +184,7 @@ def psd_min_eig(H, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
         )
     w = la.eigvalsh(hermitianize(A))
     min_eig = float(w[0]) if w.size else np.inf  # the minimum of an empty spectrum
-    return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol * (1 + norm), tol_used=tol)
+    return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol * (1 + norm))
 
 
 def checked_solve(A: np.ndarray, B: np.ndarray, what: str | Sequence[str] = "pencil") -> np.ndarray:

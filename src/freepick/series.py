@@ -170,7 +170,7 @@ class FreeSeries:
         that key to fit int64.
         """
         root = self.coeffs.get(W.EMPTY)
-        levels = [TrieLevel(size=1, coeff=None if root is None else np.array([root]), blocks=())]
+        levels = [TrieLevel(1, None if root is None else np.array([root]), np.zeros(0, dtype=np.int64), ())]
         letters, start = self._letters
         m, width = letters.shape
         if width == 0:
@@ -213,38 +213,39 @@ class FreeSeries:
         coeff = np.zeros(count, dtype=np.complex128)
         # ids grow with depth, so a row's largest id is its whole word
         coeff[node.max(axis=1)] = self.values
-        # node i has id i + 1; each run of one depth and one letter is a block
+        # row i holds node id i + 1; each run of one depth and one letter is a block
         run = depth * base + letters[r, c] - 1
         starts = [0] + ((run[1:] != run[:-1]).nonzero()[0] + 1).tolist()
         stops, run = starts[1:] + [count - 1], run.tolist()
-        size, first = size.tolist(), first.tolist()
+        size, row = size.tolist(), (first - 1).tolist()
         blocks = [[] for _ in range(width + 1)]
         for a, b in zip(starts, stops):
             l, k = divmod(run[a], base)
-            at = first[l] - 1
-            blocks[l].append((k, a - at, b - at, None if b - a == size[l - 1] else parent[a:b]))
+            blocks[l].append((k, a - row[l], b - row[l]))
         for l in range(1, width + 1):
-            at = slice(first[l], first[l] + size[l])
-            levels.append(TrieLevel(size[l], coeff[at] if l in lengths else None, tuple(blocks[l])))
+            at = slice(row[l], row[l] + size[l])
+            levels.append(TrieLevel(size[l], coeff[1:][at] if l in lengths else None, parent[at], tuple(blocks[l])))
         return tuple(levels)
 
 
 class TrieLevel(NamedTuple):
     """The nodes of one depth of a series' suffix trie, and how they fold
-    into their parents one depth up (see :func:`eval_series`).
+    into their parents one depth up (see :func:`_horner`).
 
     :param size: the number of nodes.
     :param coeff: c_s of each node s, 0 where s is not a stored word; None
         when no node is.
-    :param blocks: one (k - 1, start, stop, parents) per letter x_k that
-        begins a node, in letter order: nodes start..stop - 1 are the x_k t,
-        and parents holds the node of each t one depth up, ascending. It is
-        None when the block holds exactly one child of every parent, in order.
+    :param parent: the node t one depth up of each node x_k t; empty at the root.
+    :param blocks: one (k - 1, start, stop) per letter x_k that begins a
+        node, in letter order: nodes start..stop - 1 are the x_k t, with
+        ascending parents; a block as long as the level above holds one
+        child of every parent.
     """
 
     size: int
     coeff: np.ndarray | None
-    blocks: tuple[tuple[int, int, int, np.ndarray | None], ...]
+    parent: np.ndarray
+    blocks: tuple[tuple[int, int, int], ...]
 
 
 class SplitList(NamedTuple):
@@ -369,35 +370,32 @@ def _horner(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray:
     each U_s are carried, stacked node by node, so the rows of one letter's
     nodes are contiguous and each block of a level is one GEMM on them.
 
-    The products fold into the parents in letter order: each parent takes
-    its first product as it is and adds the others to it. A parent that no
-    block reaches stays +0.0, and one that a later block reaches first
-    starts at -0.0, the one value that adding a product to leaves exactly
-    that product, signed zeros included.
+    Each level folds into its parents in letter order: a dense block (one
+    child of every parent) is a product of the level above's shape, and a
+    sparse block goes to its parents' rows. The first block sets the level.
+    When it is sparse, the level starts at +0.0, the parents of the later
+    blocks at -0.0, which adding a product to leaves exactly that product,
+    signed zeros included, and the first block's parents at its product.
     """
     trie = f.suffix_trie
     N = point.shape[-1]
     U = np.zeros((trie[-1].size * rows, N), dtype=np.complex128)
     for depth in range(len(trie) - 1, 0, -1):
-        level = trie[depth]
+        level, up = trie[depth], trie[depth - 1].size
         _add_scalars(U, level.coeff)
-        V = None
-        for letter, a, b, parents in level.blocks:
-            P = (U if b - a == level.size else U[a * rows : b * rows]) @ point[letter]
-            if parents is None:
-                if V is None:
-                    V = P
-                else:
-                    V += P
-                continue
-            up = trie[depth - 1].size
-            if V is None:
-                V = np.zeros((up * rows, N), dtype=np.complex128)
-                for *_, later in level.blocks[1:]:
-                    V.reshape(up, rows * N)[slice(None) if later is None else later] = -0.0
-                V.reshape(up, rows * N)[parents] = P.reshape(b - a, rows * N)
+        (k, _, b), *rest = level.blocks
+        V = U[: b * rows] @ point[k]
+        if b < up:
+            P, V = V, np.zeros((up * rows, N), dtype=np.complex128)
+            W = V.reshape(up, rows * N)
+            W[level.parent[b:]] = -0.0
+            W[level.parent[:b]] = P.reshape(b, rows * N)
+        for k, a, b in rest:
+            P = U[a * rows : b * rows] @ point[k]
+            if b - a == up:
+                V += P
             else:
-                V.reshape(up, rows * N)[parents] += P.reshape(b - a, rows * N)
+                V.reshape(up, rows * N)[level.parent[a:b]] += P.reshape(b - a, rows * N)
         U = V
     _add_scalars(U, trie[0].coeff)
     return U
@@ -527,9 +525,7 @@ def derivative(
         )
     if method == FD:
         def central(t: float) -> np.ndarray:
-            plus = MatrixTuple(X.mats + t * H.mats)
-            minus = MatrixTuple(X.mats - t * H.mats)
-            return (eval_series(f, plus).value - eval_series(f, minus).value) / (2 * t)
+            return (_horner(f, X.mats + t * H.mats, X.n) - _horner(f, X.mats - t * H.mats, X.n)) / (2 * t)
 
         if richardson:
             return (4 * central(FD_STEP / 2) - central(FD_STEP)) / 3

@@ -80,19 +80,19 @@ class WordOrder:
         return tuple(itertools.chain.from_iterable(itertools.product(letters, repeat=l) for l in range(self.degree + 1)))
 
 
-def enumerate_words(d: int, L: int, budget: int = WORD_BUDGET) -> WordOrder:
+def enumerate_words(d: int, L: int) -> WordOrder:
     """All words of length <= L in graded-lex order.
 
-    :raises BudgetError: when the count would exceed the budget; the message
+    :raises BudgetError: when the count would exceed WORD_BUDGET; the message
         names the degree and the largest degree within the budget, so callers
         can lower it.
     """
     if d < 1 or L < 0:
         raise ValueError(f"enumerate_words needs d >= 1 and L >= 0, got d={d}, L={L}")
-    top = max_degree(d, budget)
+    top = max_degree(d, WORD_BUDGET)
     if L > top:
         raise BudgetError(
-            f"words of length <= {L} in {d} letters exceed the budget of {budget} words; "
+            f"words of length <= {L} in {d} letters exceed the budget of {WORD_BUDGET} words; "
             f"the largest degree within it is {top}"
         )
     return WordOrder(d=d, degree=L)

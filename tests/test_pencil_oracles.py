@@ -486,9 +486,8 @@ def trie_suffixes(f: FreeSeries) -> list[list[tuple]]:
     out = [[()]]
     for level in f.suffix_trie[1:]:
         nodes = [None] * level.size
-        for k, a, b, parents in level.blocks:
-            ups = range(b - a) if parents is None else parents.tolist()
-            for i, p in zip(range(a, b), ups):
+        for k, a, b in level.blocks:
+            for i, p in zip(range(a, b), level.parent[a:b].tolist()):
                 nodes[i] = (k + 1,) + out[-1][p]
         out.append(nodes)
     return out
@@ -497,13 +496,14 @@ def trie_suffixes(f: FreeSeries) -> list[list[tuple]]:
 def assert_minimal_trie(f: FreeSeries) -> None:
     """One node per distinct suffix, in lexicographic order read left to
     right, carrying the stored coefficients. The blocks of a depth are its
-    letter runs in letter order and cover it once; their parents ascend, and
-    parents is None exactly when a block holds one child of every parent."""
+    letter runs in letter order and cover it once; every node has one
+    parent, the parents ascend within a block, and a block as long as the
+    level above holds one child of every parent, in order."""
     suffixes = {w[len(w) - l :] for w in f.coeffs for l in range(len(w) + 1)} | {()}
     trie = f.suffix_trie
     got = trie_suffixes(f)
     assert len(got) == max(map(len, suffixes)) + 1
-    assert trie[0].blocks == ()
+    assert trie[0].blocks == () and trie[0].parent.shape == (0,)
     for l, (nodes, level) in enumerate(zip(got, trie)):
         assert nodes == sorted(s for s in suffixes if len(s) == l)
         assert level.size == len(nodes)
@@ -514,16 +514,18 @@ def assert_minimal_trie(f: FreeSeries) -> None:
             assert level.coeff.tolist() == [f.coeff(s) for s in nodes]
         if l == 0:
             continue
-        letters = [k for k, _, _, _ in level.blocks]
+        assert level.parent.dtype == np.int64 and level.parent.shape == (level.size,)
+        letters = [k for k, _, _ in level.blocks]
         assert letters == sorted(set(letters))
-        assert [a for _, a, _, _ in level.blocks] == [0] + [b for _, _, b, _ in level.blocks[:-1]]
+        assert [a for _, a, _ in level.blocks] == [0] + [b for _, _, b in level.blocks[:-1]]
         assert level.blocks[-1][2] == level.size
-        for k, a, b, parents in level.blocks:
+        for k, a, b in level.blocks:
             assert a < b and {s[0] for s in nodes[a:b]} == {k + 1}
-            if parents is None:
-                assert b - a == trie[l - 1].size
-            else:
-                assert b - a < trie[l - 1].size and np.all(np.diff(parents) > 0)
+            parents = level.parent[a:b]
+            assert b - a <= trie[l - 1].size and np.all(np.diff(parents) > 0)
+            assert 0 <= parents[0] and parents[-1] < trie[l - 1].size
+            if b - a == trie[l - 1].size:
+                assert np.array_equal(parents, np.arange(b - a))
 
 
 def test_trie_is_minimal_and_ordered(x3_series, halfres_series, d2res_series):
@@ -533,9 +535,10 @@ def test_trie_is_minimal_and_ordered(x3_series, halfres_series, d2res_series):
     cases.append(FreeSeries(d=2, degree=3, coeffs={}))
     for f in cases:
         assert_minimal_trie(f)
-    assert TrieLevel._fields == ("size", "coeff", "blocks")
+    assert TrieLevel._fields == ("size", "coeff", "parent", "blocks")
     dense = random_dense(3, 3, rng)
-    assert all(parents is None for level in dense.suffix_trie for *_, parents in level.blocks)
+    trie = dense.suffix_trie
+    assert all(b - a == up.size for up, level in zip(trie, trie[1:]) for _, a, b in level.blocks)
 
 
 def test_trie_of_words_longer_than_one_chunk():

@@ -2,11 +2,14 @@
 and check that the report comparison script finds differences."""
 
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from freepick.jsonio import parse_series
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -47,7 +50,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "27 of 27 commands identical"
+    assert lines[-1] == "30 of 30 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -61,8 +64,8 @@ def test_compare_reports_reads_every_readme_example():
 
 def test_compare_reports_runs_the_series_commands(tmp_path):
     module = load_compare_reports()
-    point = tmp_path / "generic_point.json"
-    commands = module.series_commands(point)
+    point, sparse = tmp_path / "generic_point.json", tmp_path / "sparse_series.json"
+    commands = module.series_commands(point, sparse)
     labels = [" ".join(pathlib.Path(a).stem if pathlib.Path(a).is_absolute() else a for a in argv) for argv in commands]
     assert labels == [
         "eval --series halfres_series --point x_point",
@@ -74,8 +77,16 @@ def test_compare_reports_runs_the_series_commands(tmp_path):
         "monotone --series d2res_series --degree 3",
         "eval --series d2res_series --point generic_point",
         "axioms --series halfres_series --samples 10",
+        "eval --series sparse_series --point generic_point",
+        "deriv --series sparse_series --point generic_point --direction pi2_point --method block",
+        "deriv --series sparse_series --point generic_point --direction pi2_point --method fd",
     ]
     assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
+    # the sparse series starts a Horner level from a sparse first block
+    sparse.write_text(json.dumps(module.SPARSE_SERIES), encoding="utf-8")
+    trie = parse_series(str(sparse)).suffix_trie
+    _, a, b = trie[3].blocks[0]
+    assert b - a < trie[2].size
     # halfres at degree 5 is a README example, so no command runs twice
     readme = module.readme_commands()
     assert ["monotone", "--series", str(ROOT / "tests" / "fixtures" / "halfres_series.json"), "--degree", "5"] in readme
@@ -98,7 +109,7 @@ def test_compare_reports_runs_the_tuple_commands(tmp_path):
         "rep-eval --rep type4_rep --point pi2_point",
     ]
     assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
-    earlier = module.readme_commands() + module.series_commands(point)
+    earlier = module.readme_commands() + module.series_commands(point, tmp_path / "sparse_series.json")
     assert not any(argv in earlier for argv in commands)
 
 
@@ -126,7 +137,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "25 of 27 commands identical"
+    assert out.splitlines()[-1] == "28 of 30 commands identical"
 
 
 WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
@@ -162,4 +173,4 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     assert module.main() == (verdict != "same")
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
-    assert lines[-1] == f"{27 if verdict == 'same' else 0} of 27 commands identical"
+    assert lines[-1] == f"{30 if verdict == 'same' else 0} of 30 commands identical"

@@ -9,6 +9,7 @@ from freepick.series import (
     COMMUTATOR,
     DIRECT_SUM_DERIVATIVE,
     FD,
+    FD_STEP,
     LOCALIZING,
     TENSOR_DERIVATIVE,
     FreeSeries,
@@ -304,6 +305,29 @@ def test_richardson_tightens_fd(halfres_series):
     plain = derivative(halfres_series, X, H, method=FD)
     refined = derivative(halfres_series, X, H, method=FD, richardson=True)
     assert abs(refined[0, 0] - exact[0, 0]) <= abs(plain[0, 0] - exact[0, 0])
+
+
+def test_fd_is_the_central_difference_of_two_evaluations(x3_series, halfres_series, d2res_series):
+    # the fd route folds f(X +- tH) without building the shifted tuples or
+    # their tail bounds; its value is the old formula's, bit for bit
+    sparse = FreeSeries(
+        d=2,
+        degree=6,
+        coeffs={(): 0.25, (2,): 0.5, (2, 1): 1.0, (1, 2, 2): -1.0, (1, 2, 1, 2): 1.0, (1, 1, 2, 1): 1.0, (2, 2, 1, 2, 1, 1): -0.5},
+    )
+    rng = np.random.default_rng(41)
+    for f in (x3_series, halfres_series, d2res_series, sparse):
+        for n in (1, 3):
+            X, H = (MatrixTuple(0.2 * (rng.standard_normal((f.d, n, n)) + 1j * rng.standard_normal((f.d, n, n)))) for _ in range(2))
+
+            def central(t):
+                plus = eval_series(f, MatrixTuple(X.mats + t * H.mats)).value
+                minus = eval_series(f, MatrixTuple(X.mats - t * H.mats)).value
+                return (plus - minus) / (2 * t)
+
+            assert np.array_equal(derivative(f, X, H, method=FD), central(FD_STEP))
+            refined = (4 * central(FD_STEP / 2) - central(FD_STEP)) / 3
+            assert np.array_equal(derivative(f, X, H, method=FD, richardson=True), refined)
 
 
 def test_derivative_validation_errors(x3_series):

@@ -68,10 +68,10 @@ def test_word_count_formula(d, L):
 
 
 def test_budget_error_names_degrees():
-    # word_count(10, 2) = 111 <= 1000 < word_count(10, 3) = 1111
-    message = r"^words of length <= 6 in 10 letters exceed the budget of 1000 words; the largest degree within it is 2$"
+    # word_count(10, 4) = 11111 <= 100000 < word_count(10, 5) = 111111
+    message = r"^words of length <= 6 in 10 letters exceed the budget of 100000 words; the largest degree within it is 4$"
     with pytest.raises(BudgetError, match=message):
-        enumerate_words(10, 6, budget=1000)
+        enumerate_words(10, 6)
 
 
 def test_budget_error_past_the_digit_limit(monkeypatch):
@@ -107,9 +107,11 @@ def test_max_degree_at_the_edges():
 
 
 def test_budget_admits_the_largest_degree_within_it():
-    assert len(enumerate_words(10, 2, budget=111)) == 111
-    with pytest.raises(BudgetError, match="the largest degree within it is 2$"):
-        enumerate_words(10, 3, budget=1110)
+    # word_count(99999, 1) = 100000 is the budget exactly; an order's length
+    # needs only d and degree, so no word is built
+    assert len(enumerate_words(99999, 1)) == 100000
+    with pytest.raises(BudgetError, match="the largest degree within it is 1$"):
+        enumerate_words(99999, 2)
 
 
 def test_involution_fixtures():
