@@ -6,7 +6,8 @@ Usage:
 
 SRC_A and SRC_B are directories holding the freepick package (the src/ of
 two checkouts). Every CLI example in the README, the series commands of
-`series_commands`, the tuple commands of `tuple_commands` and `interpolate`
+`series_commands` (three of them on malformed series, which fail with
+a schema error), the tuple commands of `tuple_commands` and `interpolate`
 at a generic two-letter point run once per tree in a child interpreter with
 PYTHONPATH set to that tree and one BLAS thread. Each run writes its report
 with --out to report.json in a fresh working directory of its own, so the
@@ -21,6 +22,7 @@ status is 1 when anything differs, else 0.
 
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -59,6 +61,15 @@ SPARSE_SERIES = {
     ],
 }
 
+# three malformed series, each refused with a schema error on stderr and exit
+# code 1: a bad letter in the last of several terms, a NaN "re" and a word
+# longer than the degree
+REJECTED_SERIES = {
+    "bad_letter_series": {**SPARSE_SERIES, "terms": [*SPARSE_SERIES["terms"], {"word": [2, 3], "re": 1.0}]},
+    "nan_re_series": {"d": 2, "degree": 2, "terms": [{"word": [1], "re": 1.0}, {"word": [2, 1], "re": math.nan}]},
+    "long_word_series": {"d": 2, "degree": 2, "terms": [{"word": [], "re": 1.0}, {"word": [1, 2, 1], "re": 0.5}]},
+}
+
 
 def readme_commands() -> list[list[str]]:
     """The argv of every `freepick ...` line in the README's CLI section,
@@ -74,12 +85,12 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
-def series_commands(point: Path, sparse: Path) -> list[list[str]]:
+def series_commands(point: Path, sparse: Path, rejected: tuple[Path, ...]) -> list[list[str]]:
     """The series commands past the README examples: eval and every deriv
     method on halfres, monotone at several degrees (halfres at degree 5 is a
-    README example), eval on d2res at the generic point, an axioms fuzz, and
+    README example), eval on d2res at the generic point, an axioms fuzz,
     eval and the block and fd derivatives of the sparse series at the
-    generic point."""
+    generic point, and eval of each rejected series there."""
 
     def fixture(name: str) -> str:
         return str(FIXTURES / f"{name}.json")
@@ -96,6 +107,7 @@ def series_commands(point: Path, sparse: Path) -> list[list[str]]:
     commands.append(["eval", *at])
     for method in ("block", "fd"):
         commands.append(["deriv", *at, "--direction", fixture("pi2_point"), "--method", method])
+    commands.extend(["eval", "--series", str(path), "--point", str(point)] for path in rejected)
     return commands
 
 
@@ -154,10 +166,12 @@ def main() -> int:
         if not (p / "freepick" / "__init__.py").is_file():
             ap.error(f"{p} holds no freepick package")
     with tempfile.TemporaryDirectory() as tmp:
+        files = {"generic_point": GENERIC_POINT, "generic_target": GENERIC_TARGET, "sparse_series": SPARSE_SERIES, **REJECTED_SERIES}
+        for name, data in files.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
         point, target, sparse = (Path(tmp) / f"{name}.json" for name in ("generic_point", "generic_target", "sparse_series"))
-        for path, data in ((point, GENERIC_POINT), (target, GENERIC_TARGET), (sparse, SPARSE_SERIES)):
-            path.write_text(json.dumps(data), encoding="utf-8")
-        commands = readme_commands() + series_commands(point, sparse) + tuple_commands(point)
+        rejected = tuple(Path(tmp) / f"{name}.json" for name in REJECTED_SERIES)
+        commands = readme_commands() + series_commands(point, sparse, rejected) + tuple_commands(point)
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
         differ = 0
         for argv in commands:

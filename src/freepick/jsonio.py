@@ -13,6 +13,7 @@ two-component form; non-finite floats become null.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
@@ -111,6 +112,32 @@ def _as_matrix_list(obj, path: str) -> tuple[np.ndarray, ...] | None:
     return tuple(_as_matrix(M, f"{path}[{i}]") for i, M in enumerate(obj))
 
 
+def _terms_in_bulk(terms: list, d: int) -> dict[tuple[int, ...], complex] | None:
+    """The series terms read with a few whole-list passes: word -> complex(re,
+    im) when every term is an object with a list of int letters in 1..d, no
+    word twice and finite int or float re and im, else None (also when any
+    step raises), so that the per-term loop names the first bad term."""
+    try:
+        words = [term["word"] for term in terms]
+        res = [term["re"] for term in terms]
+        ims = [term.get("im", 0.0) for term in terms]
+        letters = list(itertools.chain.from_iterable(words))
+        values = res + ims
+        if (
+            set(map(type, words)) <= {list}
+            and set(map(type, letters)) <= {int}
+            and (not letters or 1 <= min(letters) and max(letters) <= d)
+            and set(map(type, values)) <= {int, float}
+            and all(map(math.isfinite, values))  # an int past the float range raises
+        ):
+            coeffs = dict(zip(map(tuple, words), map(complex, res, ims)))
+            if len(coeffs) == len(terms):
+                return coeffs
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return None
+
+
 def parse_series(path: str) -> FreeSeries:
     data = _load(path)
     d = _as_int(_get(data, "d", "$"), "$.d")
@@ -124,21 +151,23 @@ def parse_series(path: str) -> FreeSeries:
     terms = _get(data, "terms", "$")
     if not isinstance(terms, list):
         _fail("$.terms", "expected a list")
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for t, term in enumerate(terms):
-        tpath = f"$.terms[{t}]"
-        raw = _get(term, "word", tpath)
-        if not isinstance(raw, list):
-            _fail(tpath + ".word", "expected a list of letters")
-        word = tuple(_as_int(x, f"{tpath}.word[{i}]") for i, x in enumerate(raw))
-        for i, letter in enumerate(word):
-            if not 1 <= letter <= d:
-                _fail(f"{tpath}.word[{i}]", f"letter {letter} outside 1..{d}")
-        if word in coeffs:
-            _fail(tpath + ".word", f"duplicate word {list(word)}")
-        re = _as_number(_get(term, "re", tpath), tpath + ".re")
-        im = _as_number(term.get("im", 0.0), tpath + ".im")
-        coeffs[word] = complex(re, im)
+    coeffs = _terms_in_bulk(terms, d)
+    if coeffs is None:  # some term is bad: name the first one in file order
+        coeffs = {}
+        for t, term in enumerate(terms):
+            tpath = f"$.terms[{t}]"
+            raw = _get(term, "word", tpath)
+            if not isinstance(raw, list):
+                _fail(tpath + ".word", "expected a list of letters")
+            word = tuple(_as_int(x, f"{tpath}.word[{i}]") for i, x in enumerate(raw))
+            for i, letter in enumerate(word):
+                if not 1 <= letter <= d:
+                    _fail(f"{tpath}.word[{i}]", f"letter {letter} outside 1..{d}")
+            if word in coeffs:
+                _fail(tpath + ".word", f"duplicate word {list(word)}")
+            re = _as_number(_get(term, "re", tpath), tpath + ".re")
+            im = _as_number(term.get("im", 0.0), tpath + ".im")
+            coeffs[word] = complex(re, im)
     f = _build(FreeSeries, d=d, degree=degree, coeffs=coeffs, real_free=real_free, decay_rate=decay)
     if real_free:
         _build(require_real_free, f, path)

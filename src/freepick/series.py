@@ -9,6 +9,7 @@ fixed radius convention.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -30,6 +31,27 @@ LOCALIZING = "localizing"
 FD = "fd"
 
 METHODS = (BLOCK, LOCALIZING, FD)
+
+
+def _clean_in_bulk(coeffs: Mapping, d: int, degree: int) -> dict[W.Word, complex] | None:
+    """The constructor's checks in a few whole-list passes: the clean dict when
+    every key is a tuple of ints in 1..d no longer than degree and every value
+    is a finite complex, else None (also when any step raises), so that the
+    per-word loop names the first bad word or normalises the input."""
+    try:
+        words = coeffs.keys()
+        clean = dict(zip(words, map(complex, coeffs.values())))
+        letters = list(itertools.chain.from_iterable(words))
+        if (
+            set(map(type, words)) <= {tuple}
+            and set(map(type, letters)) <= {int}
+            and (not letters or 1 <= min(letters) and max(letters) <= d and max(map(len, words)) <= degree)
+            and all(map(cmath.isfinite, clean.values()))
+        ):
+            return clean
+    except Exception:  # whatever a step raises, the loop raises again at its word
+        pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -55,19 +77,21 @@ class FreeSeries:
     def __post_init__(self) -> None:
         if self.d < 1 or self.degree < 0:
             raise ValueError(f"need d >= 1 and degree >= 0, got d={self.d}, degree={self.degree}")
-        clean: dict[W.Word, complex] = {}
-        for w, c in self.coeffs.items():
-            letters = tuple(map(int, w))
-            if letters != tuple(w) or not _BOOLS.isdisjoint(map(type, w)):
-                raise ValueError(f"word {list(w)} has a letter that is not an integer")
-            w = letters
-            W.check_alphabet(w, self.d)
-            if len(w) > self.degree:
-                raise ValueError(f"word {list(w)} is longer than the degree {self.degree}")
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"coefficient of {list(w)} is not finite")
-            clean[w] = c
+        clean = _clean_in_bulk(self.coeffs, self.d, self.degree)
+        if clean is None:
+            clean = {}
+            for w, c in self.coeffs.items():
+                letters = tuple(map(int, w))
+                if letters != tuple(w) or not _BOOLS.isdisjoint(map(type, w)):
+                    raise ValueError(f"word {list(w)} has a letter that is not an integer")
+                w = letters
+                W.check_alphabet(w, self.d)
+                if len(w) > self.degree:
+                    raise ValueError(f"word {list(w)} is longer than the degree {self.degree}")
+                c = complex(c)
+                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                    raise ValueError(f"coefficient of {list(w)} is not finite")
+                clean[w] = c
         object.__setattr__(self, "coeffs", clean)
         if self.decay_rate is not None and not self.decay_rate > 0:
             raise ValueError("decay_rate must be positive when given")
@@ -104,7 +128,7 @@ class FreeSeries:
         array (insertion order) and the column of each word's first letter."""
         width = max(map(len, self.coeffs), default=0)
         letters = W.letter_array(self.coeffs, width)
-        return letters, width - np.count_nonzero(letters, axis=1)
+        return letters, (letters == 0).sum(axis=1)  # the zeros pad the left
 
     def _suffix_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The word table, then the positions of every suffix of each w and of

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +151,81 @@ def test_real_free_must_be_boolean(tmp_path, fixtures_dir, flag):
     assert not parse_series(write(tmp_path, "s.json", data)).real_free
     del data["real_free"]
     assert not parse_series(write(tmp_path, "s.json", data)).real_free
+
+
+# every rejection of a series term, as (terms, full message); d = 1, degree = 2
+TERM_REJECTIONS = {
+    "not-an-object": ([5], "$.terms[0]: expected an object, got int"),
+    "missing-word": ([{"re": 1.0}], "$.terms[0]: missing required key 'word'"),
+    "missing-re": ([{"word": [1]}], "$.terms[0]: missing required key 're'"),
+    "word-not-a-list": ([{"word": 1, "re": 1.0}], "$.terms[0].word: expected a list of letters"),
+    "bool-letter": ([{"word": [1, True], "re": 1.0}], "$.terms[0].word[1]: expected an integer, got bool"),
+    "float-letter": ([{"word": [1.0], "re": 1.0}], "$.terms[0].word[0]: expected an integer, got float"),
+    "string-letter": ([{"word": ["1"], "re": 1.0}], "$.terms[0].word[0]: expected an integer, got str"),
+    "letter-out-of-range": ([{"word": [1, 2], "re": 1.0}], "$.terms[0].word[1]: letter 2 outside 1..1"),
+    "letter-zero": ([{"word": [0], "re": 1.0}], "$.terms[0].word[0]: letter 0 outside 1..1"),
+    "duplicate-word": (
+        [{"word": [1], "re": 1.0}, {"word": [1], "re": 2.0}],
+        "$.terms[1].word: duplicate word [1]",
+    ),
+    "bool-re": ([{"word": [1], "re": True}], "$.terms[0].re: expected a number, got bool"),
+    "string-re": ([{"word": [1], "re": "1"}], "$.terms[0].re: expected a number, got str"),
+    "null-re": ([{"word": [1], "re": None}], "$.terms[0].re: expected a number, got NoneType"),
+    "bool-im": ([{"word": [1], "re": 1.0, "im": False}], "$.terms[0].im: expected a number, got bool"),
+    "string-im": ([{"word": [1], "re": 1.0, "im": "0"}], "$.terms[0].im: expected a number, got str"),
+    "null-im": ([{"word": [1], "re": 1.0, "im": None}], "$.terms[0].im: expected a number, got NoneType"),
+    "long-word": ([{"word": [1, 1, 1], "re": 1.0}], "$: word [1, 1, 1] is longer than the degree 2"),
+}
+
+
+@pytest.mark.parametrize("terms, message", TERM_REJECTIONS.values(), ids=TERM_REJECTIONS.keys())
+def test_every_term_rejection_has_its_message(tmp_path, terms, message):
+    path = write(tmp_path, "s.json", {"d": 1, "degree": 2, "terms": terms})
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse_series(path)
+
+
+# NaN, Infinity and an integer past the float range, as raw JSON text of term 1
+NONFINITE = {
+    "nan-re": ('{"word": [1], "re": NaN}', "$.terms[1].re: number must be finite"),
+    "infinity-re": ('{"word": [1], "re": -Infinity}', "$.terms[1].re: number must be finite"),
+    "nan-im": ('{"word": [1], "re": 1.0, "im": NaN}', "$.terms[1].im: number must be finite"),
+    "infinity-im": ('{"word": [1], "re": 1.0, "im": Infinity}', "$.terms[1].im: number must be finite"),
+    "huge-im": ('{"word": [1], "re": 1.0, "im": 1' + "0" * 400 + "}", "$.terms[1].im: number is too large for a float"),
+}
+
+
+@pytest.mark.parametrize("term, message", NONFINITE.values(), ids=NONFINITE.keys())
+def test_nonfinite_term_rejected_without_a_warning(tmp_path, term, message):
+    p = tmp_path / "s.json"
+    p.write_text('{"d": 1, "degree": 2, "terms": [{"word": [], "re": 0.5}, ' + term + "]}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_series(str(p))
+
+
+def test_the_first_bad_term_in_file_order_is_named(tmp_path):
+    # term 1 fails only its value check, term 2 its letter check
+    terms = [{"word": [1], "re": 1.0}, {"word": [2], "re": "x"}, {"word": [5], "re": 1.0}]
+    with pytest.raises(SchemaError, match=r"^\$\.terms\[1\]\.re: expected a number, got str$"):
+        parse_series(write(tmp_path, "s.json", {"d": 2, "degree": 2, "terms": terms}))
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ({"word": [1, 3], "re": "x", "im": None}, "$.terms[1].word[1]: letter 3 outside 1..2"),
+        ({"word": [1], "re": "x", "im": None}, "$.terms[1].word: duplicate word [1]"),
+        ({"word": [2], "re": "x", "im": None}, "$.terms[1].re: expected a number, got str"),
+        ({"word": [2], "re": 1.0, "im": None}, "$.terms[1].im: expected a number, got NoneType"),
+    ],
+    ids=["word", "duplicate", "re", "im"],
+)
+def test_a_terms_checks_run_word_duplicate_re_im(tmp_path, term, message):
+    terms = [{"word": [1], "re": 1.0}, term]
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse_series(write(tmp_path, "s.json", {"d": 2, "degree": 2, "terms": terms}))
 
 
 def test_missing_file_is_schema_error():

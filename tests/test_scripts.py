@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from freepick.jsonio import parse_series
+from freepick.matcore import SchemaError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -50,7 +51,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "30 of 30 commands identical"
+    assert lines[-1] == "33 of 33 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -65,7 +66,8 @@ def test_compare_reports_reads_every_readme_example():
 def test_compare_reports_runs_the_series_commands(tmp_path):
     module = load_compare_reports()
     point, sparse = tmp_path / "generic_point.json", tmp_path / "sparse_series.json"
-    commands = module.series_commands(point, sparse)
+    rejected = tuple(tmp_path / f"{name}.json" for name in module.REJECTED_SERIES)
+    commands = module.series_commands(point, sparse, rejected)
     labels = [" ".join(pathlib.Path(a).stem if pathlib.Path(a).is_absolute() else a for a in argv) for argv in commands]
     assert labels == [
         "eval --series halfres_series --point x_point",
@@ -80,6 +82,9 @@ def test_compare_reports_runs_the_series_commands(tmp_path):
         "eval --series sparse_series --point generic_point",
         "deriv --series sparse_series --point generic_point --direction pi2_point --method block",
         "deriv --series sparse_series --point generic_point --direction pi2_point --method fd",
+        "eval --series bad_letter_series --point generic_point",
+        "eval --series nan_re_series --point generic_point",
+        "eval --series long_word_series --point generic_point",
     ]
     assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
     # the sparse series starts a Horner level from a sparse first block
@@ -87,6 +92,17 @@ def test_compare_reports_runs_the_series_commands(tmp_path):
     trie = parse_series(str(sparse)).suffix_trie
     _, a, b = trie[3].blocks[0]
     assert b - a < trie[2].size
+    # each rejected series fails its own check, the bad letter in the last term
+    messages = {
+        "bad_letter_series": r"^\$\.terms\[7\]\.word\[1\]: letter 3 outside 1\.\.2$",
+        "nan_re_series": r"^\$\.terms\[1\]\.re: number must be finite$",
+        "long_word_series": r"^\$: word \[1, 2, 1\] is longer than the degree 2$",
+    }
+    for path, (name, data) in zip(rejected, module.REJECTED_SERIES.items()):
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SchemaError, match=messages[name]):
+            parse_series(str(path))
+    assert len(module.REJECTED_SERIES["bad_letter_series"]["terms"]) == 8
     # halfres at degree 5 is a README example, so no command runs twice
     readme = module.readme_commands()
     assert ["monotone", "--series", str(ROOT / "tests" / "fixtures" / "halfres_series.json"), "--degree", "5"] in readme
@@ -109,7 +125,8 @@ def test_compare_reports_runs_the_tuple_commands(tmp_path):
         "rep-eval --rep type4_rep --point pi2_point",
     ]
     assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
-    earlier = module.readme_commands() + module.series_commands(point, tmp_path / "sparse_series.json")
+    rejected = tuple(tmp_path / f"{name}.json" for name in module.REJECTED_SERIES)
+    earlier = module.readme_commands() + module.series_commands(point, tmp_path / "sparse_series.json", rejected)
     assert not any(argv in earlier for argv in commands)
 
 
@@ -137,7 +154,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "28 of 30 commands identical"
+    assert out.splitlines()[-1] == "31 of 33 commands identical"
 
 
 WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
@@ -173,4 +190,4 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     assert module.main() == (verdict != "same")
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
-    assert lines[-1] == f"{30 if verdict == 'same' else 0} of 30 commands identical"
+    assert lines[-1] == f"{33 if verdict == 'same' else 0} of 33 commands identical"

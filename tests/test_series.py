@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_word_longer_than_degree_rejected():
 
 
 def test_letter_out_of_alphabet_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^letter 2 in word \[2\] is outside 1\.\.1$"):
         FreeSeries(d=1, degree=2, coeffs={(2,): 1.0})
 
 
@@ -92,6 +93,35 @@ def test_nonfinite_coefficient_rejected():
 def test_nonpositive_decay_rate_rejected():
     with pytest.raises(ValueError):
         FreeSeries(d=1, degree=1, coeffs={(1,): 1.0}, decay_rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        (dict(coeffs={(): 1.0, (1,): complex(1.0, float("inf"))}), ValueError, "coefficient of [1] is not finite"),
+        (dict(coeffs={(1,): 10**400}), OverflowError, "int too large to convert to float"),
+        (dict(coeffs={(1,): "x"}), ValueError, "complex() arg is a malformed string"),
+        (dict(d=0), ValueError, "need d >= 1 and degree >= 0, got d=0, degree=2"),
+        (dict(degree=-1, coeffs={}), ValueError, "need d >= 1 and degree >= 0, got d=1, degree=-1"),
+        (dict(decay_rate=-1.0), ValueError, "decay_rate must be positive when given"),
+        (dict(decay_rate=float("nan")), ValueError, "decay_rate must be positive when given"),
+    ],
+    ids=["nonfinite", "huge", "string", "d", "degree", "negative-rate", "nan-rate"],
+)
+def test_every_constructor_rejection_has_its_message(kwargs, error, message):
+    kwargs = {"d": 1, "degree": 2, "coeffs": {(1,): 1.0}, **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            FreeSeries(**kwargs)
+
+
+def test_the_first_bad_word_in_insertion_order_is_named():
+    long, outside = {(1, 1, 1): 1.0}, {(3,): float("nan")}
+    with pytest.raises(ValueError, match=r"^word \[1, 1, 1\] is longer than the degree 2$"):
+        FreeSeries(d=2, degree=2, coeffs={(): 1.0, **long, **outside})
+    with pytest.raises(ValueError, match=r"^letter 3 in word \[3\] is outside 1\.\.2$"):
+        FreeSeries(d=2, degree=2, coeffs={(): 1.0, **outside, **long})
 
 
 def test_missing_coefficient_is_zero(x3_series):
