@@ -7,8 +7,10 @@ Usage:
 SRC_A and SRC_B are directories holding the freepick package (the src/ of
 two checkouts). Every CLI example in the README, the series commands of
 `series_commands` (three of them on malformed series, which fail with
-a schema error), the tuple commands of `tuple_commands` and `interpolate`
-at a generic two-letter point run once per tree in a child interpreter with
+a schema error), the tuple commands of `tuple_commands`, `interpolate`
+at a generic two-letter point and the three commands of `edge_commands`
+(the sparse series where its report has exact zeros, and two series whose
+header the constructor refuses) run once per tree in a child interpreter with
 PYTHONPATH set to that tree and one BLAS thread. Each run writes its report
 with --out to report.json in a fresh working directory of its own, so the
 argv is the same for both trees.
@@ -70,6 +72,18 @@ REJECTED_SERIES = {
     "long_word_series": {"d": 2, "degree": 2, "terms": [{"word": [], "re": 1.0}, {"word": [1, 2, 1], "re": 0.5}]},
 }
 
+# a diagonal two-letter point: every product is diagonal, so the off-diagonal
+# entries of a report are exact zeros, signed by how the Horner pass starts
+# a sparse level (the generic point has no exact zero)
+DIAGONAL_POINT = {"d": 2, "n": 2, "matrices": [[[0.5, 0.0], [0.0, -0.25]], [[0.3, 0.0], [0.0, 0.2]]]}
+
+# two series with clean terms and a header the constructor refuses: d = 0
+# with only the empty word, and a decay rate of 0
+HEADER_REJECTED_SERIES = {
+    "zero_d_series": {"d": 0, "degree": 0, "terms": [{"word": [], "re": 1.0}]},
+    "zero_rate_series": {**SPARSE_SERIES, "decay_rate": 0},
+}
+
 
 def readme_commands() -> list[list[str]]:
     """The argv of every `freepick ...` line in the README's CLI section,
@@ -108,6 +122,14 @@ def series_commands(point: Path, sparse: Path, rejected: tuple[Path, ...]) -> li
     for method in ("block", "fd"):
         commands.append(["deriv", *at, "--direction", fixture("pi2_point"), "--method", method])
     commands.extend(["eval", "--series", str(path), "--point", str(point)] for path in rejected)
+    return commands
+
+
+def edge_commands(point: Path, sparse: Path, diagonal: Path, header_rejected: tuple[Path, ...]) -> list[list[str]]:
+    """eval of the sparse series at the diagonal point, and eval of each
+    header-rejected series at the generic point."""
+    commands = [["eval", "--series", str(sparse), "--point", str(diagonal)]]
+    commands.extend(["eval", "--series", str(path), "--point", str(point)] for path in header_rejected)
     return commands
 
 
@@ -166,13 +188,24 @@ def main() -> int:
         if not (p / "freepick" / "__init__.py").is_file():
             ap.error(f"{p} holds no freepick package")
     with tempfile.TemporaryDirectory() as tmp:
-        files = {"generic_point": GENERIC_POINT, "generic_target": GENERIC_TARGET, "sparse_series": SPARSE_SERIES, **REJECTED_SERIES}
+        files = {
+            "generic_point": GENERIC_POINT,
+            "generic_target": GENERIC_TARGET,
+            "sparse_series": SPARSE_SERIES,
+            "diagonal_point": DIAGONAL_POINT,
+            **REJECTED_SERIES,
+            **HEADER_REJECTED_SERIES,
+        }
         for name, data in files.items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
-        point, target, sparse = (Path(tmp) / f"{name}.json" for name in ("generic_point", "generic_target", "sparse_series"))
+        point, target, sparse, diagonal = (
+            Path(tmp) / f"{name}.json" for name in ("generic_point", "generic_target", "sparse_series", "diagonal_point")
+        )
         rejected = tuple(Path(tmp) / f"{name}.json" for name in REJECTED_SERIES)
+        header_rejected = tuple(Path(tmp) / f"{name}.json" for name in HEADER_REJECTED_SERIES)
         commands = readme_commands() + series_commands(point, sparse, rejected) + tuple_commands(point)
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
+        commands += edge_commands(point, sparse, diagonal, header_rejected)
         differ = 0
         for argv in commands:
             a, b = (run(src, argv) for src in trees)

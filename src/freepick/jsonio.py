@@ -112,11 +112,12 @@ def _as_matrix_list(obj, path: str) -> tuple[np.ndarray, ...] | None:
     return tuple(_as_matrix(M, f"{path}[{i}]") for i, M in enumerate(obj))
 
 
-def _terms_in_bulk(terms: list, d: int) -> dict[tuple[int, ...], complex] | None:
+def _terms_in_bulk(terms: list, d: int, degree: int) -> dict[tuple[int, ...], complex] | None:
     """The series terms read with a few whole-list passes: word -> complex(re,
     im) when every term is an object with a list of int letters in 1..d, no
-    word twice and finite int or float re and im, else None (also when any
-    step raises), so that the per-term loop names the first bad term."""
+    word longer than degree or there twice and finite int or float re and im,
+    else None (also when any step raises), so that the per-term loop names
+    the first bad term and the constructor the first long word."""
     try:
         words = [term["word"] for term in terms]
         res = [term["re"] for term in terms]
@@ -126,7 +127,7 @@ def _terms_in_bulk(terms: list, d: int) -> dict[tuple[int, ...], complex] | None
         if (
             set(map(type, words)) <= {list}
             and set(map(type, letters)) <= {int}
-            and (not letters or 1 <= min(letters) and max(letters) <= d)
+            and (not letters or 1 <= min(letters) and max(letters) <= d and max(map(len, words)) <= degree)
             and set(map(type, values)) <= {int, float}
             and all(map(math.isfinite, values))  # an int past the float range raises
         ):
@@ -151,8 +152,10 @@ def parse_series(path: str) -> FreeSeries:
     terms = _get(data, "terms", "$")
     if not isinstance(terms, list):
         _fail("$.terms", "expected a list")
-    coeffs = _terms_in_bulk(terms, d)
-    if coeffs is None:  # some term is bad: name the first one in file order
+    coeffs = _terms_in_bulk(terms, d, degree)
+    if coeffs is not None:
+        f = _build(FreeSeries._from_checked, d=d, degree=degree, coeffs=coeffs, real_free=real_free, decay_rate=decay)
+    else:  # some term is bad: name the first one in file order
         coeffs = {}
         for t, term in enumerate(terms):
             tpath = f"$.terms[{t}]"
@@ -168,7 +171,7 @@ def parse_series(path: str) -> FreeSeries:
             re = _as_number(_get(term, "re", tpath), tpath + ".re")
             im = _as_number(term.get("im", 0.0), tpath + ".im")
             coeffs[word] = complex(re, im)
-    f = _build(FreeSeries, d=d, degree=degree, coeffs=coeffs, real_free=real_free, decay_rate=decay)
+        f = _build(FreeSeries, d=d, degree=degree, coeffs=coeffs, real_free=real_free, decay_rate=decay)
     if real_free:
         _build(require_real_free, f, path)
     return f

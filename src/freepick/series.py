@@ -9,7 +9,6 @@ fixed radius convention.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import warnings
@@ -31,27 +30,6 @@ LOCALIZING = "localizing"
 FD = "fd"
 
 METHODS = (BLOCK, LOCALIZING, FD)
-
-
-def _clean_in_bulk(coeffs: Mapping, d: int, degree: int) -> dict[W.Word, complex] | None:
-    """The constructor's checks in a few whole-list passes: the clean dict when
-    every key is a tuple of ints in 1..d no longer than degree and every value
-    is a finite complex, else None (also when any step raises), so that the
-    per-word loop names the first bad word or normalises the input."""
-    try:
-        words = coeffs.keys()
-        clean = dict(zip(words, map(complex, coeffs.values())))
-        letters = list(itertools.chain.from_iterable(words))
-        if (
-            set(map(type, words)) <= {tuple}
-            and set(map(type, letters)) <= {int}
-            and (not letters or 1 <= min(letters) and max(letters) <= d and max(map(len, words)) <= degree)
-            and all(map(cmath.isfinite, clean.values()))
-        ):
-            return clean
-    except Exception:  # whatever a step raises, the loop raises again at its word
-        pass
-    return None
 
 
 @dataclass(frozen=True)
@@ -77,21 +55,19 @@ class FreeSeries:
     def __post_init__(self) -> None:
         if self.d < 1 or self.degree < 0:
             raise ValueError(f"need d >= 1 and degree >= 0, got d={self.d}, degree={self.degree}")
-        clean = _clean_in_bulk(self.coeffs, self.d, self.degree)
-        if clean is None:
-            clean = {}
-            for w, c in self.coeffs.items():
-                letters = tuple(map(int, w))
-                if letters != tuple(w) or not _BOOLS.isdisjoint(map(type, w)):
-                    raise ValueError(f"word {list(w)} has a letter that is not an integer")
-                w = letters
-                W.check_alphabet(w, self.d)
-                if len(w) > self.degree:
-                    raise ValueError(f"word {list(w)} is longer than the degree {self.degree}")
-                c = complex(c)
-                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise ValueError(f"coefficient of {list(w)} is not finite")
-                clean[w] = c
+        clean = {}
+        for w, c in self.coeffs.items():
+            letters = tuple(map(int, w))
+            if letters != tuple(w) or not _BOOLS.isdisjoint(map(type, w)):
+                raise ValueError(f"word {list(w)} has a letter that is not an integer")
+            w = letters
+            W.check_alphabet(w, self.d)
+            if len(w) > self.degree:
+                raise ValueError(f"word {list(w)} is longer than the degree {self.degree}")
+            c = complex(c)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(f"coefficient of {list(w)} is not finite")
+            clean[w] = c
         object.__setattr__(self, "coeffs", clean)
         if self.decay_rate is not None and not self.decay_rate > 0:
             raise ValueError("decay_rate must be positive when given")
@@ -115,8 +91,21 @@ class FreeSeries:
             raise ValueError(f"coefficient of {list(order.words[int(bad.argmax())])} is not finite")
         keep = c != 0
         coeffs = dict(zip(itertools.compress(order.words, keep.tolist()), c[keep].tolist()))
+        return cls._from_checked(order.d, order.degree, coeffs)
+
+    @classmethod
+    def _from_checked(
+        cls, d: int, degree: int, coeffs: dict[W.Word, complex], real_free: bool = False, decay_rate: float | None = None
+    ) -> FreeSeries:
+        """The series storing coeffs as given, for producers whose words are
+        already clean: tuples of int letters in 1..d, none longer than degree,
+        with finite complex values. Only d, degree and the rate are checked;
+        when one fails the constructor runs, so every message and its
+        precedence stay in __post_init__."""
+        if d < 1 or degree < 0 or (decay_rate is not None and not decay_rate > 0):
+            return cls(d, degree, coeffs, real_free, decay_rate)
         f = object.__new__(cls)
-        vars(f).update(d=order.d, degree=order.degree, coeffs=coeffs, real_free=False, decay_rate=None)
+        vars(f).update(d=d, degree=degree, coeffs=coeffs, real_free=real_free, decay_rate=decay_rate)
         return f
 
     def coeff(self, w: W.Word) -> complex:

@@ -3,9 +3,16 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from freepick.jsonio import parse_series, parse_tuple
 from freepick.matcore import MatrixTuple
+
+# every run draws the same examples: each test's generator is seeded from the
+# test itself, and no example database replays earlier failures;
+# --hypothesis-profile=default brings back random seeds
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -1,46 +1,24 @@
-"""The per-word constructor loop and the per-term parser loop, kept as oracles
-for the whole-list checks of FreeSeries and parse_series.
+"""The per-term parser loop, kept as the oracle for the whole-list check of
+parse_series and the trusted path it hands clean terms to.
 
-On any input, corrupted or not, the library and its oracle give an equal
-series (the same keys in the same order, int letters, the same value bits,
-signed zeros included) or the same exception type and text.
+On any document, corrupted or not, parse_series and its oracle give an equal
+series (the same fields, the same keys in the same order, int letters, the
+same value bits, signed zeros included) or the same exception type and text.
 """
 
 import json
-import math
 import struct
 import warnings
 
-import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from freepick import jsonio
-from freepick.jsonio import parse_series
+from freepick.hardy import min_norm_interpolate
+from freepick.jsonio import parse_matrix, parse_series, parse_tuple
+from freepick.matcore import SchemaError
 from freepick.series import FreeSeries, require_real_free
-from freepick.words import check_alphabet
-
-_BOOLS = {bool, np.bool_}
-
-
-def loop_series(d, degree, coeffs) -> dict:
-    """The constructor's per-word loop: the clean dict it stores."""
-    if d < 1 or degree < 0:
-        raise ValueError(f"need d >= 1 and degree >= 0, got d={d}, degree={degree}")
-    clean = {}
-    for w, c in coeffs.items():
-        letters = tuple(map(int, w))
-        if letters != tuple(w) or not _BOOLS.isdisjoint(map(type, w)):
-            raise ValueError(f"word {list(w)} has a letter that is not an integer")
-        w = letters
-        check_alphabet(w, d)
-        if len(w) > degree:
-            raise ValueError(f"word {list(w)} is longer than the degree {degree}")
-        c = complex(c)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(f"coefficient of {list(w)} is not finite")
-        clean[w] = c
-    return clean
 
 
 def loop_parse(path: str) -> FreeSeries:
@@ -100,8 +78,6 @@ def outcome(make):
 def assert_same_outcome(ours, oracle, case=None):
     if isinstance(oracle, tuple) or isinstance(ours, tuple):
         assert ours == oracle, case
-    elif isinstance(oracle, dict):
-        assert fingerprint(ours) == fingerprint(oracle), case
     else:
         assert (ours.d, ours.degree, ours.real_free, ours.decay_rate) == (
             oracle.d, oracle.degree, oracle.real_free, oracle.decay_rate,
@@ -111,65 +87,24 @@ def assert_same_outcome(ours, oracle, case=None):
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
-# the ways a stored word or value is corrupted, each with its candidates
-BAD_LETTERS = [0, -1, 10**20, True, np.bool_(True), 1.5, 2.0, np.int64(1), np.int32(2), np.float64(1.0), "1"]
-BAD_VALUES = [
-    float("nan"), float("inf"), complex(0.0, -math.inf), complex(math.nan, 0.0), 10**400, -(10**400), 10**300,
-    "1.5", "abc", "1+2j", True, False, 3, np.complex128(1 - 2j), np.float64(-0.0), np.int64(5), complex(-0.0, -0.0),
-]
-
-
-class Word(tuple):
-    pass
-
-
-# keys that are no tuple but hold int letters: the loop stores them as tuples
-BAD_KEYS = [Word, bytes, frozenset, lambda w: "".join(map(str, w))]
-
-
-@st.composite
-def corrupted_dicts(draw):
-    d = draw(st.integers(1, 3))
-    degree = draw(st.integers(0, 4))
-    words = draw(st.lists(st.lists(st.integers(1, d), max_size=degree).map(tuple), unique=True, max_size=8))
-    items = [[w, complex(draw(FLOATS), draw(FLOATS))] for w in words]
-    for kind in draw(st.lists(st.sampled_from(["letter", "value", "key", "long"]), max_size=3)):
-        if not items:
-            break
-        item = draw(st.sampled_from(items))
-        if kind == "letter" and item[0]:
-            w = list(item[0])
-            w[draw(st.integers(0, len(w) - 1))] = draw(st.sampled_from([d + 1, *BAD_LETTERS]))
-            item[0] = tuple(w)
-        elif kind == "value":
-            item[1] = draw(st.sampled_from(BAD_VALUES))
-        elif kind == "key" and all(type(x) is int and 0 <= x < 256 for x in item[0]):
-            item[0] = draw(st.sampled_from(BAD_KEYS))(item[0])
-        elif kind == "long" and isinstance(item[0], tuple):
-            item[0] = item[0] + (1,) * (degree + 1 - len(item[0]) + draw(st.integers(0, 1)))
-    return d, degree, dict(items)
-
-
-@settings(max_examples=400, deadline=None)
-@given(corrupted_dicts())
-def test_constructor_matches_the_per_word_loop(case):
-    d, degree, coeffs = case
-    ours = outcome(lambda: FreeSeries(d=d, degree=degree, coeffs=coeffs).coeffs)
-    assert_same_outcome(ours, outcome(lambda: loop_series(d, degree, coeffs)))
-
-
 # corrupted JSON terms: letters, words, whole terms, values, missing keys
 JSON_LETTERS = [0, -1, True, False, 1.5, 2.0, "1", None, [1]]
 JSON_WORDS = [1, "12", "", None, {}, {"1": 1}, True]
 JSON_TERMS = [5, [1], "x", None, True, {}]
 JSON_VALUES = [float("nan"), float("inf"), -float("inf"), 10**400, -(10**400), 10**300, 3, -0.0, True, False, "1", None, [1, 2]]
+# header fields the constructor refuses (d, degree, a rate that is not
+# positive) and two rates it keeps, each applied after the terms are drawn
+HEADER_CHANGES = [("d", 0), ("d", -1), ("degree", -1), ("decay_rate", 0), ("decay_rate", -1.0), ("decay_rate", 0.5), ("decay_rate", 2)]
 
 
 @st.composite
 def corrupted_documents(draw):
     d = draw(st.integers(1, 3))
     degree = draw(st.integers(0, 4))
-    words = draw(st.lists(st.lists(st.integers(1, d), max_size=degree), min_size=1, max_size=8))
+    if draw(st.integers(0, 3)) == 0:  # only empty words: no letter to refuse a bad d
+        words = [[] for _ in range(draw(st.integers(1, 2)))]
+    else:
+        words = draw(st.lists(st.lists(st.integers(1, d), max_size=degree), min_size=1, max_size=8))
     terms = []
     for w in words:
         term = {"word": w, "re": draw(FLOATS)}
@@ -201,7 +136,9 @@ def corrupted_documents(draw):
         elif kind == "long":
             term["word"] = term["word"] + [1] * (degree + 1 - len(term["word"]))
     # a claimed real_free is mostly refused for its symmetry, so claim it seldom
-    return {"d": d, "degree": degree, "real_free": draw(st.integers(0, 3)) == 3, "terms": terms}
+    document = {"d": d, "degree": degree, "real_free": draw(st.integers(0, 3)) == 3, "terms": terms}
+    document.update(draw(st.lists(st.sampled_from(HEADER_CHANGES), max_size=2)))
+    return document
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -215,28 +152,10 @@ def test_parser_matches_the_per_term_loop(tmp_path, document):
 # ------------------------------------------------- every one-step corruption
 
 
-def one_change_dicts():
-    """(d, degree, coeffs) for every dict one corruption away from a clean one,
-    at each of its words."""
-    d, degree = 2, 3
-    base = {(): 0.5, (1, 2): complex(-0.0, 1.5), (2, 2, 1): 3.0}
-
-    def replaced(w, new_w, new_c):
-        return {(new_w if k == w else k): (new_c if k == w else c) for k, c in base.items()}
-
-    for w, c in base.items():
-        for new in [d + 1, *BAD_LETTERS] if w else []:
-            yield d, degree, replaced(w, (new, *w[1:]), c)
-        for new in BAD_VALUES:
-            yield d, degree, replaced(w, w, new)
-        for make in BAD_KEYS:
-            yield d, degree, replaced(w, make(w), c)
-        yield d, degree, replaced(w, w + (1,) * (degree + 1 - len(w)), c)
-
-
 def one_change_documents():
     """Every series document one corruption away from a clean one, at each
-    of its terms."""
+    of its terms or in its header, and the header changes of a document
+    whose only word is empty."""
     d, degree = 2, 3
     base = [{"word": [], "re": 0.5}, {"word": [1, 2], "re": -0.0, "im": 1.5}, {"word": [2, 2, 1], "re": 3, "im": -0.0}]
 
@@ -259,12 +178,9 @@ def one_change_documents():
     for t, term in enumerate(base):
         for new in variants(term):
             yield {"d": d, "degree": degree, "terms": [*base[:t], new, *base[t + 1 :]]}
-
-
-def test_every_one_step_corruption_of_a_dict_matches_the_loop():
-    for d, degree, coeffs in one_change_dicts():
-        ours = outcome(lambda: FreeSeries(d=d, degree=degree, coeffs=coeffs).coeffs)
-        assert_same_outcome(ours, outcome(lambda: loop_series(d, degree, coeffs)), coeffs)
+    for terms in (base, base[:1]):
+        for key, value in HEADER_CHANGES:
+            yield {"d": d, "degree": degree, "terms": terms, key: value}
 
 
 def test_every_one_step_corruption_of_a_document_matches_the_loop(tmp_path):
@@ -273,3 +189,32 @@ def test_every_one_step_corruption_of_a_document_matches_the_loop(tmp_path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(document, fh)
         assert_same_outcome(outcome(lambda: parse_series(path)), outcome(lambda: loop_parse(path)), document)
+
+
+# --------------------------------------------- clean input skips __post_init__
+
+
+def refuse(self):
+    raise AssertionError("FreeSeries.__post_init__ ran")
+
+
+def test_clean_series_never_run_the_constructor(fixtures_dir, monkeypatch):
+    """Clean files (the real-free halfres too) and interpolants enter
+    FreeSeries through the trusted path alone, unchanged by it."""
+    paths = [str(fixtures_dir / name) for name in ("d2res_series.json", "halfres_series.json")]
+    X = parse_tuple(str(fixtures_dir / "jordan_point.json"))
+    target = parse_matrix(str(fixtures_dir / "jordan_target.json"))
+    expected = [parse_series(path) for path in paths] + [min_norm_interpolate(X, target, 12)]
+    assert expected[1].real_free
+    monkeypatch.setattr(FreeSeries, "__post_init__", refuse)
+    got = [parse_series(path) for path in paths] + [min_norm_interpolate(X, target, 12)]
+    for ours, oracle, case in zip(got, expected, [*paths, "interpolant"]):
+        assert_same_outcome(ours, oracle, case)
+
+
+def test_a_bad_letter_is_named_before_any_constructor_runs(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"d": 2, "degree": 3, "terms": [{"word": [], "re": 1.0}, {"word": [1, 3], "re": 0.5}]}))
+    monkeypatch.setattr(FreeSeries, "__post_init__", refuse)
+    with pytest.raises(SchemaError, match=r"^\$\.terms\[1\]\.word\[1\]: letter 3 outside 1\.\.2$"):
+        parse_series(str(path))
