@@ -8,9 +8,10 @@ SRC_A and SRC_B are directories holding the freepick package (the src/ of
 two checkouts). Every CLI example in the README, the series commands of
 `series_commands` (three of them on malformed series, which fail with
 a schema error), the tuple commands of `tuple_commands`, `interpolate`
-at a generic two-letter point and the three commands of `edge_commands`
-(the sparse series where its report has exact zeros, and two series whose
-header the constructor refuses) run once per tree in a child interpreter with
+at a generic two-letter point and the five commands of `edge_commands`
+(the sparse series where its report has exact zeros, two series whose
+header the constructor refuses, and eval and monotone on a real-free
+series of degree 70) run once per tree in a child interpreter with
 PYTHONPATH set to that tree and one BLAS thread. Each run writes its report
 with --out to report.json in a fresh working directory of its own, so the
 argv is the same for both trees.
@@ -85,6 +86,20 @@ HEADER_REJECTED_SERIES = {
 }
 
 
+# a real-free two-letter series of degree 70: 1/(2 - x_1) plus 0.1 x_2 and
+# 0.01 x_2 x_1 x_2. Its long words are past every enumerable word order, and
+# the degree-3 certificate reads only words of length <= 7, so it is refuted
+# by the x_2 pencil as its truncation is
+DEEP_SERIES = {
+    "d": 2,
+    "degree": 70,
+    "real_free": True,
+    "decay_rate": 1.9,
+    "terms": [{"word": [1] * k, "re": 2.0 ** -(k + 1)} for k in range(71)]
+    + [{"word": [2], "re": 0.1}, {"word": [2, 1, 2], "re": 0.01}],
+}
+
+
 def readme_commands() -> list[list[str]]:
     """The argv of every `freepick ...` line in the README's CLI section,
     backslash continuations joined and fixture paths made absolute."""
@@ -125,11 +140,16 @@ def series_commands(point: Path, sparse: Path, rejected: tuple[Path, ...]) -> li
     return commands
 
 
-def edge_commands(point: Path, sparse: Path, diagonal: Path, header_rejected: tuple[Path, ...]) -> list[list[str]]:
-    """eval of the sparse series at the diagonal point, and eval of each
-    header-rejected series at the generic point."""
+def edge_commands(
+    point: Path, sparse: Path, diagonal: Path, header_rejected: tuple[Path, ...], deep: Path
+) -> list[list[str]]:
+    """eval of the sparse series at the diagonal point, eval of each
+    header-rejected series at the generic point, and eval at the generic
+    point and monotone at degree 3 of the deep series."""
     commands = [["eval", "--series", str(sparse), "--point", str(diagonal)]]
     commands.extend(["eval", "--series", str(path), "--point", str(point)] for path in header_rejected)
+    commands.append(["eval", "--series", str(deep), "--point", str(point)])
+    commands.append(["monotone", "--series", str(deep), "--degree", "3"])
     return commands
 
 
@@ -195,17 +215,19 @@ def main() -> int:
             "diagonal_point": DIAGONAL_POINT,
             **REJECTED_SERIES,
             **HEADER_REJECTED_SERIES,
+            "deep_series": DEEP_SERIES,
         }
         for name, data in files.items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
-        point, target, sparse, diagonal = (
-            Path(tmp) / f"{name}.json" for name in ("generic_point", "generic_target", "sparse_series", "diagonal_point")
+        point, target, sparse, diagonal, deep = (
+            Path(tmp) / f"{name}.json"
+            for name in ("generic_point", "generic_target", "sparse_series", "diagonal_point", "deep_series")
         )
         rejected = tuple(Path(tmp) / f"{name}.json" for name in REJECTED_SERIES)
         header_rejected = tuple(Path(tmp) / f"{name}.json" for name in HEADER_REJECTED_SERIES)
         commands = readme_commands() + series_commands(point, sparse, rejected) + tuple_commands(point)
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
-        commands += edge_commands(point, sparse, diagonal, header_rejected)
+        commands += edge_commands(point, sparse, diagonal, header_rejected, deep)
         differ = 0
         for argv in commands:
             a, b = (run(src, argv) for src in trees)

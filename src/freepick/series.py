@@ -119,30 +119,20 @@ class FreeSeries:
         letters = W.letter_array(self.coeffs, width)
         return letters, (letters == 0).sum(axis=1)  # the zeros pad the left
 
-    def _suffix_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The word table, then the positions of every suffix of each w and of
-        each w*. Not cached: only the keys and the split list derived from
-        these tables are kept."""
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """pos(w) of every stored word, in insertion order; built on first use.
+        A word longer than max_degree(d, WORD_BUDGET) reads WORD_BUDGET."""
         letters, start = self._letters
-        forward = W.suffix_positions(self.d, letters)
-        backward = W.suffix_positions(self.d, W.reversed_letters(letters))
-        return letters, start, forward, backward
+        return W.suffix_positions(self.d, letters)[np.arange(len(start)), start]
 
     @cached_property
-    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
-        _, start, forward, backward = self._suffix_tables()
-        rows = np.arange(len(start))
-        return forward[rows, start], backward[rows, start]
-
-    @property
-    def keys(self) -> np.ndarray:
-        """pos(w) of every stored word, in insertion order; built on first use."""
-        return self._keys[0]
-
-    @property
-    def reversed_keys(self) -> np.ndarray:
-        """pos(w*) of every stored word, in insertion order; built on first use."""
-        return self._keys[1]
+    def _partners(self) -> np.ndarray:
+        """The insertion index of each stored word's involute w*, or -1 when
+        w* is not stored; built on first use."""
+        index = dict(zip(self.coeffs, itertools.count()))
+        # w[::-1] is W.involute(w) without a call per word
+        return np.array([index.get(w[::-1], -1) for w in self.coeffs], dtype=np.int64)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -152,7 +142,9 @@ class FreeSeries:
     @cached_property
     def splits(self) -> SplitList:
         """Every stored word w split as I* x_k J at each of its letters."""
-        letters, start, forward, backward = self._suffix_tables()
+        letters, start = self._letters
+        forward = W.suffix_positions(self.d, letters)
+        backward = W.suffix_positions(self.d, W.reversed_letters(letters))
         width = letters.shape[1]
         row, col = np.nonzero(letters)
         len_i = col - start[row]  # I* = w[:len_i], so I = w*[|w| - len_i:]
@@ -172,7 +164,7 @@ class FreeSeries:
         parent of x_k s is s, so the nodes of each letter form one run and
         their parents ascend within it.
 
-        Built from the letters, not from the int64 word keys, so it has no
+        Built from the letters, not from the word positions, so it has no
         degree limit. The right-aligned letter array is cut into chunks of
         span columns. Read in base d + 1, the letters of a suffix that fall in
         its first chunk form a number that orders such pieces by length and
@@ -267,7 +259,8 @@ class SplitList(NamedTuple):
     Row r has k = letter[r], pos I, pos J and c_w. Each (I, k, J) names one
     word, so no two rows of one letter share a cell (pos I, pos J). In
     graded-lex order pos u < word_count(d, L) exactly when |u| <= L, so the
-    positions also carry the lengths.
+    positions also carry the lengths; a word past max_degree(d, WORD_BUDGET)
+    reads WORD_BUDGET, which no enumerated order reaches.
     """
 
     letter: np.ndarray
@@ -293,20 +286,19 @@ class SeriesDiagnostics:
 def validate(f: FreeSeries) -> SeriesDiagnostics:
     """Check the real_free symmetry and the decay bound, without raising.
 
-    The symmetry scan looks up every reversed key among the sorted keys in
-    one searchsorted pass. Each pair {w, w*} is judged once, at its
-    first-inserted word w, by |c_{w*} - conj(c_w)| > 1e-12 max(1, |c_w|)
-    (c_{w*} = 0 when w* is not stored), and is reported at min(w, w*).
+    The symmetry scan reads each word's partner w* from f._partners, a
+    lookup of every involute in an index over the stored words, cached
+    because certify_monotone validates on every call. Each pair {w, w*} is
+    judged once, at its first-inserted word w, by
+    |c_{w*} - conj(c_w)| > 1e-12 max(1, |c_w|) (c_{w*} = 0 when w* is not
+    stored), and is reported at min(w, w*).
     The decay scan flags every w with |c_w| > r^{-|w|} (1 + 1e-12); a bound
     past the float range is inf and flags nothing.
     """
     sym: list[tuple[W.Word, float]] = []
     if f.real_free and f.coeffs:
-        keys, rkeys, vals = f.keys, f.reversed_keys, f.values
-        by_key = np.argsort(keys)
-        at = np.minimum(np.searchsorted(keys, rkeys, sorter=by_key), len(keys) - 1)
-        partner = np.where(keys[by_key[at]] == rkeys, by_key[at], -1)
-        first = (partner < 0) | (partner >= np.arange(len(keys)))
+        vals, partner = f.values, f._partners
+        first = (partner < 0) | (partner >= np.arange(len(vals)))
         mirror = np.where(partner >= 0, vals[partner], 0.0)
         # hypot rounds as Python's abs does; np.abs on complex128 need not
         z = mirror - np.conj(vals)
@@ -315,8 +307,7 @@ def validate(f: FreeSeries) -> SeriesDiagnostics:
         if bad.size:
             words = list(f.coeffs)
             for i in bad:
-                w = words[i] if keys[i] <= rkeys[i] else W.involute(words[i])
-                sym.append((w, float(gap[i])))
+                sym.append((min(words[i], W.involute(words[i])), float(gap[i])))
     decay: list[tuple[W.Word, float]] = []
     if f.decay_rate is not None:
         letters, start = f._letters

@@ -9,11 +9,11 @@ The position (integer key) of a word w = x_{w_1} ... x_{w_l} in that order is
 
     pos(w) = offset(l) + sum_i (w_i - 1) d^(l - i),   offset(l) = word_count(d, l - 1),
 
-and :func:`suffix_positions` is the one routine that computes it. Keys are
-int64: they fit while word_count(d, degree) <= 2^63 - 1, which is degree 62
-for d = 2 and degree 39 for d = 3; for d = 1, where pos(w) = |w|, no storable
-degree reaches the limit. Past it the key build raises ValueError instead of
-wrapping.
+and :func:`suffix_positions` is the one routine that computes it. No order
+from :func:`enumerate_words` holds more than WORD_BUDGET words, so positions
+are only computed for words of length <= max_degree(d, WORD_BUDGET); a
+longer word reads WORD_BUDGET, which indexes no order. Keys are int64 and
+never overflow, whatever the degree.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .matcore import BudgetError, MatrixTuple
 Word = tuple[int, ...]
 
 WORD_BUDGET = 100_000
-
-KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 EMPTY: Word = ()
 
@@ -131,22 +129,16 @@ def suffix_positions(d: int, letters: np.ndarray) -> np.ndarray:
     word in columns c.. of row r, for every c from the row's first letter to
     width (the empty word, position 0). Entries left of a row's first letter
     mean nothing. A word of length l thus has pos(w) at column width - l.
-
-    :raises ValueError: when word_count(d, width) passes the int64 range.
+    A suffix longer than max_degree(d, WORD_BUDGET) reads WORD_BUDGET.
     """
     m, width = letters.shape
-    top = max_degree(d, KEY_LIMIT)
-    if width > top:
-        raise ValueError(
-            f"word keys overflow int64 for d={d} at degree {width} "
-            f"(the largest degree that fits is {top})"
-        )
-    weights = np.array([d ** (width - 1 - c) for c in range(width)], dtype=np.int64)
-    offsets = np.array([word_count(d, width - c - 1) for c in range(width + 1)], dtype=np.int64)
-    out = np.zeros((m, width + 1), dtype=np.int64)
-    digits = np.maximum(letters - 1, 0) * weights
-    out[:, :width] = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1]
-    return out + offsets
+    top = min(width, max_degree(d, WORD_BUDGET))
+    weights = np.array([d ** (top - 1 - c) for c in range(top)], dtype=np.int64)
+    out = np.full((m, width + 1), WORD_BUDGET, dtype=np.int64)
+    out[:, width - top :] = [word_count(d, top - c - 1) for c in range(top + 1)]
+    digits = np.maximum(letters[:, width - top :] - 1, 0) * weights
+    out[:, width - top : width] += np.cumsum(digits[:, ::-1], axis=1)[:, ::-1]
+    return out
 
 
 def involute(w: Word) -> Word:

@@ -185,7 +185,6 @@ def test_from_vector_series_behaves_like_a_constructed_one():
     c[1::4] = 0.0
     f, ref = FreeSeries.from_vector(order, c), oracle_series(order, c)
     assert np.array_equal(f.keys, ref.keys)
-    assert np.array_equal(f.reversed_keys, ref.reversed_keys)
     X = sample("contraction_tuple", 3, 2, seed=4)
     assert np.array_equal(eval_series(f, X).value, eval_series(ref, X).value)
 

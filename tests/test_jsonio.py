@@ -89,24 +89,26 @@ def test_symmetry_checked_when_real_free_claimed(tmp_path):
         parse_series(write(tmp_path, "s.json", payload))
 
 
-def test_word_keys_past_int64_are_a_schema_error(tmp_path):
+def test_deep_real_free_series_parses(tmp_path):
+    # no word position is built past the word budget, so no degree is too deep to parse
     payload = {
         "d": 2,
         "degree": 64,
         "real_free": True,
-        "terms": [{"word": [1] * 64, "re": 1.0}],
+        "terms": [{"word": [1] * 64, "re": 1.0}, {"word": [1, 2] * 20, "re": 0.5}, {"word": [2, 1] * 20, "re": 0.5}],
     }
-    with pytest.raises(SchemaError, match=r"^\$: word keys overflow int64 for d=2 at degree 64"):
+    f = parse_series(write(tmp_path, "s.json", payload))
+    assert f.coeffs == {(1,) * 64: 1.0, (1, 2) * 20: 0.5, (2, 1) * 20: 0.5}
+    payload["terms"][2]["re"] = 0.25
+    with pytest.raises(SchemaError, match=r"symmetry fails at word \[1, 2, 1, 2, .*\] \(gap 2\.500e-01\)$"):
         parse_series(write(tmp_path, "s.json", payload))
 
 
-def test_long_word_key_overflow_names_the_degrees(tmp_path):
-    # word_count(2, 15000) has more than 4300 digits; the message used to be
-    # Python's digit-limit error instead of the degrees
+def test_very_long_word_parses(tmp_path):
+    # word_count(2, 15000) has more than 4300 digits; no count past the budget is built
     payload = {"d": 2, "degree": 15000, "real_free": True, "terms": [{"word": [1] * 15000, "re": 1.0}]}
-    message = r"^\$: word keys overflow int64 for d=2 at degree 15000 \(the largest degree that fits is 62\)$"
-    with pytest.raises(SchemaError, match=message):
-        parse_series(write(tmp_path, "s.json", payload))
+    f = parse_series(write(tmp_path, "s.json", payload))
+    assert f.coeffs == {(1,) * 15000: 1.0} and f.degree == 15000
 
 
 def test_ragged_matrix_names_row(tmp_path):

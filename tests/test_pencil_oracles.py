@@ -8,11 +8,12 @@ m* (F_k (x) I)(I (x) H_k)(F_k (x) I) m for the reconstruction and one block
 derivative per matrix unit E_pq for the Choi matrix, each with monomials
 from the suffix-sharing word evaluator.
 
-The pencil itself is scattered from integer word keys, and validate's
-symmetry scan is one searchsorted pass over keys. Their oracles are the dict
-loops they replace: one coefficient lookup per pencil cell, and a walk over
-the stored words that judges each pair {w, w*} once. Both must agree
-exactly, not to a tolerance.
+The pencil itself is scattered from integer word positions, and validate's
+symmetry scan pairs each word with w* through a lookup of every involute in
+an index over the stored words. Their oracles are the dict loops they
+replace: one coefficient lookup per pencil cell, and a walk over the stored
+words that judges each pair {w, w*} once. Both must agree exactly, not to a
+tolerance.
 
 pencil_contraction scatters the split list into a staircase of dense
 blocks, one per letter and row level, and never builds the count x count
@@ -34,6 +35,7 @@ terms in the same order, so it must agree bit for bit, signed zeros
 included.
 """
 
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +44,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freepick.matcore import MatrixTuple, sample
-from freepick.jsonio import parse_series
-from freepick.monotone import HamburgerModel, certify_monotone, choi_at, hamburger_factor
+from freepick.jsonio import parse_series, series_to_json
+from freepick.monotone import CERTIFIED_PSD, REFUTED, HamburgerModel, certify_monotone, choi_at, hamburger_factor
 from freepick import monotone, series, words
 from freepick.series import (
     METHODS,
@@ -354,6 +356,16 @@ def deep_sparse(rng: np.random.Generator) -> FreeSeries:
     return FreeSeries(d=2, degree=24, coeffs=coeffs, real_free=True)
 
 
+def degree70_series() -> tuple[FreeSeries, FreeSeries]:
+    """Two real-free two-letter series of degree 70 and decay rate 1.9:
+    1/(2 - x_1) plus 0.1 x_2 and 0.01 x_2 x_1 x_2, which is refuted, and
+    1 + sum_{k >= 1} 2^{-(k+1)} (x_1^k + x_2^k), which is certified."""
+    refuted = {(1,) * k: 2.0 ** -(k + 1) for k in range(71)}
+    refuted.update({(2,): 0.1, (2, 1, 2): 0.01})
+    certified = {(): 1.0, **{(a,) * k: 2.0 ** -(k + 1) for k in range(1, 71) for a in (1, 2)}}
+    return tuple(FreeSeries(d=2, degree=70, coeffs=c, real_free=True, decay_rate=1.9) for c in (refuted, certified))
+
+
 def block_point(X: MatrixTuple, H: MatrixTuple) -> MatrixTuple:
     """The 2n x 2n tuple [[X_i, H_i], [0, X_i]] of the block derivative."""
     zero = np.zeros((X.n, X.n))
@@ -414,10 +426,8 @@ def test_eval_matches_word_sum_on_deep_sparse_series():
 
 
 def test_eval_past_the_key_limit_with_a_short_word():
-    # word_count(2, 64) passes int64, so the keys cannot be built; the trie can
+    # word_count(2, 64) passes int64; the trie has no degree limit
     f = FreeSeries(d=2, degree=64, coeffs={(1,) * 64: 1.0, (2,): 0.5, (1, 2) * 20: -2.0, (): 1j})
-    with pytest.raises(ValueError, match="d=2 at degree 64"):
-        f.keys
     rng = np.random.default_rng(17)
     for X in eval_points(2, rng):
         assert_eval_matches_oracles(f, X)
@@ -578,7 +588,7 @@ def test_eval_builds_the_trie_once_per_series(d2res_series, fixtures_dir, monkey
     assert len(calls) == 1
     FreeSeries(d=2, degree=f.degree, coeffs=f.coeffs).suffix_trie
     assert len(calls) == 2
-    # keys (validate), split list, trie and decay scan all read one word table
+    # split list, trie and decay scan all read one word table
     calls.clear()
     g = parse_series(str(fixtures_dir / "d2res_series.json"))
     assert g.real_free and g.decay_rate is not None and len(calls) == 1
@@ -632,6 +642,8 @@ def test_pencil_matches_dict_loop_on_deep_sparse_series():
     f = deep_sparse(np.random.default_rng(12))
     assert max(map(len, f.coeffs)) == 24
     assert_pencils_equal(f, range(10))
+    for g in degree70_series():
+        assert_pencils_equal(g, range(6))
 
 
 def test_validate_matches_dict_scan_on_injected_violations():
@@ -663,8 +675,39 @@ def test_validate_matches_dict_scan_on_seeded_series(halfres_series, d2res_serie
     rng = np.random.default_rng(13)
     cases = [halfres_series, d2res_series, deep_sparse(rng), random_real_free(3, 4, rng)]
     cases.append(FreeSeries(d=2, degree=3, coeffs={}, real_free=True))
+    cases.extend(degree70_series())
     for f in cases:
         assert validate(f) == dict_validate(f)
+
+
+def assert_same_certificate(got, want) -> None:
+    assert (got.d, got.degree, got.reports, got.verdict) == (want.d, want.degree, want.reports, want.verdict)
+    assert got.coefficient_horizon == want.coefficient_horizon
+    assert len(got.matrices) == len(want.matrices)
+    assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices))
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        assert (got.witness.k, got.witness.min_eig) == (want.witness.k, want.witness.min_eig)
+        assert np.array_equal(got.witness.vector, want.witness.vector)
+
+
+def test_degree70_series_certify_as_their_truncations(tmp_path):
+    # the level-L certificate reads only words of length <= 2L + 1
+    rng = np.random.default_rng(22)
+    for f, verdict in zip(degree70_series(), (REFUTED, CERTIFIED_PSD)):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series_to_json(f)), encoding="utf-8")
+        g = parse_series(str(path))
+        assert g.coeffs == f.coeffs and validate(g).ok
+        assert_eval_matches_oracles(g, hermitian_point(2, 2, 0.3, seed=23))
+        assert_eval_matches_oracles(g, MatrixTuple(tuple(0.2 * M for M in general_tuple(2, 2, rng).mats)))
+        for L in (3, 5, 9):
+            top = 2 * L + 1
+            short = {w: c for w, c in g.coeffs.items() if len(w) <= top}
+            want = certify_monotone(FreeSeries(d=2, degree=top, coeffs=short, real_free=True, decay_rate=1.9), L)
+            got = certify_monotone(g, L)
+            assert got.verdict == verdict
+            assert_same_certificate(got, want)
 
 
 def perturbed_real_free(rng: np.random.Generator) -> FreeSeries:

@@ -11,6 +11,7 @@ import pytest
 
 from freepick.jsonio import parse_series, parse_tuple
 from freepick.matcore import SchemaError
+from freepick.monotone import REFUTED, certify_monotone
 from freepick.series import eval_series
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -52,7 +53,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "36 of 36 commands identical"
+    assert lines[-1] == "38 of 38 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -133,14 +134,18 @@ def test_compare_reports_runs_the_tuple_commands(tmp_path):
 
 def test_compare_reports_runs_the_edge_commands(tmp_path):
     module = load_compare_reports()
-    point, sparse, diagonal = (tmp_path / f"{name}.json" for name in ("generic_point", "sparse_series", "diagonal_point"))
+    point, sparse, diagonal, deep = (
+        tmp_path / f"{name}.json" for name in ("generic_point", "sparse_series", "diagonal_point", "deep_series")
+    )
     header_rejected = tuple(tmp_path / f"{name}.json" for name in module.HEADER_REJECTED_SERIES)
-    commands = module.edge_commands(point, sparse, diagonal, header_rejected)
+    commands = module.edge_commands(point, sparse, diagonal, header_rejected, deep)
     labels = [" ".join(pathlib.Path(a).stem if pathlib.Path(a).is_absolute() else a for a in argv) for argv in commands]
     assert labels == [
         "eval --series sparse_series --point diagonal_point",
         "eval --series zero_d_series --point generic_point",
         "eval --series zero_rate_series --point generic_point",
+        "eval --series deep_series --point generic_point",
+        "monotone --series deep_series --degree 3",
     ]
     # the sparse series at the diagonal point has an exact zero off the diagonal
     sparse.write_text(json.dumps(module.SPARSE_SERIES), encoding="utf-8")
@@ -156,6 +161,10 @@ def test_compare_reports_runs_the_edge_commands(tmp_path):
         path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(SchemaError, match=messages[name]):
             parse_series(str(path))
+    # the deep series parses, and its degree-3 certificate is refuted
+    deep.write_text(json.dumps(module.DEEP_SERIES), encoding="utf-8")
+    f = parse_series(str(deep))
+    assert f.degree == 70 and certify_monotone(f, 3).verdict == REFUTED
     rejected = tuple(tmp_path / f"{name}.json" for name in module.REJECTED_SERIES)
     earlier = module.readme_commands() + module.series_commands(point, sparse, rejected) + module.tuple_commands(point)
     assert not any(argv in earlier for argv in commands)
@@ -185,7 +194,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "34 of 36 commands identical"
+    assert out.splitlines()[-1] == "36 of 38 commands identical"
 
 
 WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
@@ -221,4 +230,4 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     assert module.main() == (verdict != "same")
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
-    assert lines[-1] == f"{36 if verdict == 'same' else 0} of 36 commands identical"
+    assert lines[-1] == f"{38 if verdict == 'same' else 0} of 38 commands identical"

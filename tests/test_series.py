@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from freepick.matcore import MatrixTuple, direct_sum, sample
+from freepick.words import WORD_BUDGET, max_degree
 from freepick.series import (
     BLOCK,
     COMMUTATOR,
@@ -66,23 +67,23 @@ def test_non_integer_letter_rejected():
     assert f.coeffs == {(2, 1): 2.0, (1,): 1.0}
 
 
-def test_word_keys_past_int64_raise_lazily():
-    # word_count(2, 64) passes int64; one word keeps the test small
-    f = FreeSeries(d=2, degree=64, coeffs={(1,) * 64: 1.0}, real_free=True)
+def test_deep_series_validates_and_evaluates():
+    # no position table reaches degree 64: the symmetry scan pairs words by lookup
+    f = FreeSeries(d=2, degree=64, coeffs={(1,) * 64: 1.0, (1, 2) * 20: 0.5, (2, 1) * 20: 0.5}, real_free=True)
     X = MatrixTuple((np.array([[0.5]]), np.array([[0.25]])))
-    assert eval_series(f, X).value[0, 0] == pytest.approx(0.5**64)
-    with pytest.raises(ValueError, match="d=2 at degree 64"):
-        validate(f)
+    assert eval_series(f, X).value[0, 0] == pytest.approx(0.5**64 + 0.125**20, rel=1e-15)
+    assert validate(f).ok
+    g = FreeSeries(d=2, degree=64, coeffs={(1, 2) * 20: 0.5, (2, 1) * 20: 0.25}, real_free=True)
+    assert validate(g).symmetry_violations == (((1, 2) * 20, 0.25),)
 
 
-def test_word_keys_at_the_int64_edge():
-    top = FreeSeries(d=2, degree=62, coeffs={(2,) * 62: 1.0})
-    assert int(top.keys[0]) == 2**63 - 2
-    assert int(FreeSeries(d=3, degree=39, coeffs={(3,) * 39: 1.0}).keys[0]) == 3**40 // 2 - 1
-    assert int(FreeSeries(d=1, degree=5000, coeffs={(1,) * 5000: 1.0}).keys[0]) == 5000
-    for d, degree in ((2, 63), (3, 40)):
-        with pytest.raises(ValueError, match="overflow int64"):
-            FreeSeries(d=d, degree=degree, coeffs={(1,) * degree: 1.0}).keys
+def test_keys_stop_at_the_word_budget():
+    # a word longer than max_degree(d, WORD_BUDGET) reads WORD_BUDGET, whatever its degree
+    assert max_degree(2, WORD_BUDGET) == 15
+    top = FreeSeries(d=2, degree=63, coeffs={(2,) * 15: 1.0, (2,) * 16: 1.0, (2,) * 62: 1.0, (1,) * 63: 1.0})
+    assert top.keys.tolist() == [2**16 - 2, WORD_BUDGET, WORD_BUDGET, WORD_BUDGET]
+    assert FreeSeries(d=3, degree=40, coeffs={(3,) * 10: 1.0, (1,) * 40: 1.0}).keys.tolist() == [3**11 // 2 - 1, WORD_BUDGET]
+    assert FreeSeries(d=1, degree=5000, coeffs={(1,) * 5000: 1.0}).keys.tolist() == [5000]
 
 
 def test_nonfinite_coefficient_rejected():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from freepick import words
 from freepick.matcore import BudgetError, MatrixTuple, haar_unitary, direct_sum, sample
 from freepick.words import (
-    KEY_LIMIT,
     EMPTY,
+    WORD_BUDGET,
     check_alphabet,
     enumerate_words,
     eval_words,
@@ -62,6 +62,21 @@ def test_keys_are_graded_lex_positions(d, L):
         assert backward[r, start] == index[involute(w)]
 
 
+def test_suffix_positions_stop_at_the_word_budget():
+    # a suffix one letter past max_degree reads WORD_BUDGET, which indexes no order
+    for d in (1, 2, 3):
+        top = max_degree(d, WORD_BUDGET)
+        rows = [(d,) * top, (d,) * (top + 1), (1,) + (d,) * top]
+        letters = letter_array(rows, top + 1)
+        pos = suffix_positions(d, letters)
+        last = word_count(d, top) - 1  # (d,) * top ends the order of degree top
+        assert pos[0, 1:].tolist() == [word_count(d, top - c) - 1 for c in range(top + 1)]
+        assert pos[0, 1] == last
+        assert pos[1, 0] == pos[2, 0] == WORD_BUDGET
+        assert pos[1, 1] == pos[2, 1] == last
+        assert len(enumerate_words(d, top)) == last + 1 <= WORD_BUDGET
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=5))
 def test_word_count_formula(d, L):
     assert len(enumerate_words(d, L)) == word_count(d, L)
@@ -95,8 +110,8 @@ def test_max_degree_is_the_largest_within_the_limit(d, limit):
 
 
 def test_max_degree_at_the_edges():
-    assert (max_degree(2, KEY_LIMIT), max_degree(3, KEY_LIMIT)) == (62, 39)
-    assert max_degree(1, KEY_LIMIT) == KEY_LIMIT - 1
+    assert (max_degree(2, 2**63 - 1), max_degree(3, 2**63 - 1)) == (62, 39)
+    assert max_degree(1, 2**63 - 1) == 2**63 - 2
     assert max_degree(2, 0) == max_degree(1, 0) == -1
     # limits whose bound is an exact power, where log(243, 3) and
     # log(1000, 10) come out just under 5 and 3
