@@ -156,7 +156,9 @@ def edge_commands(
 def tuple_commands(point: Path) -> list[list[str]]:
     """The commands past the README examples that stack, embed or transform
     matrix tuples: axioms fuzzing (direct sums and conjugations) on a
-    kind-4 representation and on d2res up to size 3, the half-plane Cayley
+    kind-4 representation, on d2res up to size 3 and on a kind-2
+    representation over 30 trials of sizes 1-4 (batches of several points
+    at each point size 1-5 and 7), the half-plane Cayley
     direction, the three derivative routes in two letters, the resolvent
     Herglotz form and a kind-4 representation at a two-letter point."""
 
@@ -166,6 +168,7 @@ def tuple_commands(point: Path) -> list[list[str]]:
     return [
         ["axioms", "--rep", fixture("type4_rep"), "--samples", "10"],
         ["axioms", "--series", fixture("d2res_series"), "--samples", "10", "--dim", "3"],
+        ["axioms", "--rep", fixture("type2_rep"), "--samples", "30", "--dim", "4", "--seed", "7"],
         ["cayley", "--point", fixture("pi2_point"), "--direction", "half2disk"],
         *(
             ["deriv", "--series", fixture("d2res_series"), "--point", str(point), "--direction", fixture("pi2_point"), "--method", method]

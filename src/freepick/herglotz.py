@@ -165,11 +165,14 @@ def eval_herglotz_batch(
 
 
 def herglotz_evaluator(model: HerglotzModel) -> Callable[[MatrixTuple], np.ndarray]:
-    """The model in the Cayley form as a black-box evaluator (axiom fuzzing, bridges)."""
+    """The model in the Cayley form as a black-box evaluator (axiom fuzzing,
+    bridges); its batch attribute evaluates same-size points with one
+    eval_herglotz_batch."""
 
     def ev(X: MatrixTuple) -> np.ndarray:
         return eval_herglotz(model, X)
 
+    ev.batch = lambda points: eval_herglotz_batch(model, points)
     return ev
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.linalg as la
@@ -82,7 +82,8 @@ def spectral_norm(M: np.ndarray) -> float:
 
 
 def hermitianize(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2
+    """(M + M*) / 2, of a matrix or of each matrix of a stack."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True)
@@ -303,16 +304,24 @@ def cayley(P: MatrixTuple, direction: str) -> MatrixTuple:
     return MatrixTuple(out)
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+def _ginibre(N: np.ndarray) -> np.ndarray:
+    """Ginibre matrices from standard normals N of shape (..., 2, n, n):
+    the real parts, then the imaginary parts."""
+    return (N[..., 0, :, :] + 1j * N[..., 1, :, :]) / np.sqrt(2)
+
+
+def _phase_fixed_q(G: np.ndarray) -> np.ndarray:
+    """The Q factor of each matrix of a stack, its columns rotated so that
+    R has a positive diagonal: Haar-distributed for a Ginibre G."""
+    Q, R = la.qr(G)
+    diag = np.diagonal(R, axis1=-2, axis2=-1).copy()
+    diag[diag == 0] = 1.0
+    return Q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre draw with phase fix."""
-    Q, R = la.qr(_ginibre(rng, n))
-    diag = np.diagonal(R).copy()
-    diag[diag == 0] = 1.0
-    return Q * (diag / np.abs(diag))
+    return _phase_fixed_q(_ginibre(rng.standard_normal((2, n, n))))
 
 
 HAAR_UNITARY = "haar_unitary"
@@ -321,9 +330,54 @@ PI_POINT = "pi_point"
 PSD_DIRECTION = "psd_direction"
 CONTRACTION_TUPLE = "contraction_tuple"
 
+# the standard-normal n x n blocks one coordinate of each kind draws
+_NORMAL_BLOCKS = {HAAR_UNITARY: 2, HERMITIAN_TUPLE: 2, PI_POINT: 4, PSD_DIRECTION: 2, CONTRACTION_TUPLE: 2}
+
+
+def sample_batch(kind: str, n: int, d: int, seeds: Sequence[int]) -> np.ndarray:
+    """The draws of :func:`sample` for every seed, stacked: (P, d, n, n), or
+    (P, n, n) for haar_unitary.
+
+    Each seed has its own default_rng, and each draw takes its normals in one
+    standard_normal((d, k, n, n)) call, k blocks per coordinate: the stream
+    and order of separate draws, so every draw equals sample(kind, n, d,
+    seed). contraction_tuple draws a coordinate's radius right after its
+    normals, so it takes them one coordinate at a time. The values are
+    formed for the whole stack at once: one stacked QR for haar_unitary, one
+    stacked SVD for the contraction norms.
+    """
+    if n < 1 or d < 1:
+        raise ValueError("sample needs n >= 1 and d >= 1")
+    if kind not in _NORMAL_BLOCKS:
+        raise ValueError(f"unknown sample kind {kind!r}")
+    if kind == HAAR_UNITARY:
+        d = 1
+    N = np.empty((len(seeds), d, _NORMAL_BLOCKS[kind], n, n))
+    radii = np.empty((len(seeds), d))
+    for seed, normals, r in zip(seeds, N, radii):
+        rng = np.random.default_rng(seed)
+        if kind != CONTRACTION_TUPLE:
+            rng.standard_normal(out=normals)
+            continue
+        for i in range(d):
+            rng.standard_normal(out=normals[i])
+            r[i] = rng.uniform(0.3, 1.0)
+    G = _ginibre(N[:, :, :2])
+    if kind == HAAR_UNITARY:
+        return _phase_fixed_q(G[:, 0])
+    if kind == HERMITIAN_TUPLE:
+        return hermitianize(G)
+    if kind == CONTRACTION_TUPLE:
+        return G * (0.9 * radii / np.maximum(spectral_norms(G), 1e-30))[..., None, None]
+    B = (G if kind == PSD_DIRECTION else _ginibre(N[:, :, 2:])) / np.sqrt(n)
+    BB = B @ B.conj().swapaxes(-1, -2)
+    if kind == PSD_DIRECTION:
+        return BB
+    return hermitianize(G) + 1j * (0.05 * np.eye(n) + BB)
+
 
 def sample(kind: str, n: int, d: int = 1, seed: int = 0):
-    """Seeded generator for test points.
+    """Seeded generator for test points, the one-seed case of :func:`sample_batch`.
 
     - haar_unitary: a single n x n unitary (||U*U - I|| <= 1e-12);
     - hermitian_tuple: d unnormalized Gaussian-Hermitian matrices;
@@ -331,32 +385,23 @@ def sample(kind: str, n: int, d: int = 1, seed: int = 0):
     - psd_direction: H_i = B_i B_i* >= 0;
     - contraction_tuple: ||X_i|| <= 0.9.
 
-    Deterministic given (kind, n, d, seed); no OS entropy.
+    Deterministic given (kind, n, d, seed); no OS entropy. Returns the
+    unitary as an array and every other kind as a MatrixTuple.
     """
-    if n < 1 or d < 1:
-        raise ValueError("sample needs n >= 1 and d >= 1")
-    rng = np.random.default_rng(seed)
-    if kind == HAAR_UNITARY:
-        return haar_unitary(n, rng)
-    if kind == HERMITIAN_TUPLE:
-        return MatrixTuple(tuple(hermitianize(_ginibre(rng, n)) for _ in range(d)))
-    if kind == PI_POINT:
-        eye = np.eye(n)
-        mats = []
-        for _ in range(d):
-            S = hermitianize(_ginibre(rng, n))
-            B = _ginibre(rng, n) / np.sqrt(n)
-            mats.append(S + 1j * (0.05 * eye + B @ B.conj().T))
-        return MatrixTuple(mats)
-    if kind == PSD_DIRECTION:
-        mats = []
-        for _ in range(d):
-            B = _ginibre(rng, n) / np.sqrt(n)
-            mats.append(B @ B.conj().T)
-        return MatrixTuple(mats)
-    if kind == CONTRACTION_TUPLE:
-        draws = [(_ginibre(rng, n), 0.9 * rng.uniform(0.3, 1.0)) for _ in range(d)]
-        G = np.array([g for g, _ in draws])
-        radii = np.array([r for _, r in draws])
-        return MatrixTuple(G * (radii / np.maximum(spectral_norms(G), 1e-30))[:, None, None])
-    raise ValueError(f"unknown sample kind {kind!r}")
+    S = sample_batch(kind, n, d, (seed,))[0]
+    return S if kind == HAAR_UNITARY else MatrixTuple(S)
+
+
+def point_sampler(kind: str, d: int = 1) -> Callable[[int, int], MatrixTuple | np.ndarray]:
+    """The draw (n, seed) -> sample(kind, n, d, seed), with batch(n, seeds)
+    returning the draws of many seeds from one :func:`sample_batch`."""
+
+    def sampler(n: int, seed: int):
+        return sample(kind, n, d, seed)
+
+    def batch(n: int, seeds: Sequence[int]):
+        S = sample_batch(kind, n, d, seeds)
+        return S if kind == HAAR_UNITARY else [MatrixTuple(Z) for Z in S]
+
+    sampler.batch = batch
+    return sampler

@@ -51,10 +51,11 @@ from .matcore import (
     DEFAULT_PSD_TOL,
     DomainError,
     MatrixTuple,
+    PI_POINT,
     PencilScaffold,
     checked_solve,
     pencil_terms,
-    sample,
+    point_sampler,
     spectral_norm,
     stack_points,
 )
@@ -228,11 +229,14 @@ def eval_representation_batch(spec: RepresentationSpec, points: Sequence[MatrixT
 
 
 def representation_evaluator(spec: RepresentationSpec) -> Callable[[MatrixTuple], np.ndarray]:
-    """The representation as a black-box evaluator (axiom fuzzing, probes)."""
+    """The representation as a black-box evaluator (axiom fuzzing, probes);
+    its batch attribute evaluates same-size points with one
+    eval_representation_batch."""
 
     def ev(Z: MatrixTuple) -> np.ndarray:
         return eval_representation(spec, Z)
 
+    ev.batch = lambda points: eval_representation_batch(spec, points)
     return ev
 
 
@@ -247,12 +251,9 @@ def scalar_evaluator(spec: RepresentationSpec) -> Callable[[complex], complex]:
 
 
 def pi_sampler(d: int) -> Callable[[int, int], MatrixTuple]:
-    """Half-plane point sampler with the (n, seed) shape axiom_verify wants."""
-
-    def sampler(n: int, seed: int) -> MatrixTuple:
-        return sample("pi_point", n, d, seed)
-
-    return sampler
+    """Half-plane point sampler with the (n, seed) shape axiom_verify wants,
+    and batch(n, seeds) drawing many seeds at once."""
+    return point_sampler(PI_POINT, d)
 
 
 @dataclass(frozen=True)
@@ -363,15 +364,17 @@ def pick_positivity_check(
     """Sampled check that Im h(Z) stays PSD over half-plane points.
 
     Sample t is the pi_point of size levels[t % len(levels)] drawn with seed
-    seed + 104729 t; each level's samples are evaluated as one batch, and
-    one stacked eigvalsh reads the spectra of their Im h = (h - h*)/2i.
+    seed + 104729 t; each level's samples are drawn as one batch and
+    evaluated as one batch, and one stacked eigvalsh reads the spectra of
+    their Im h = (h - h*)/2i.
     """
     if not levels:
         raise ValueError("levels must name at least one matrix size")
     worst = float("inf")
+    draw = pi_sampler(spec.d).batch
     for k, n in enumerate(levels):
-        points = [sample("pi_point", n, spec.d, seed + 104729 * t) for t in range(k, samples, len(levels))]
-        if points:
-            h = eval_representation_batch(spec, points)
+        seeds = [seed + 104729 * t for t in range(k, samples, len(levels))]
+        if seeds:
+            h = eval_representation_batch(spec, draw(n, seeds))
             worst = min(worst, float(la.eigvalsh((h - h.conj().swapaxes(1, 2)) / 2j).min()))
     return PickPositivityReport(samples=samples, levels=levels, min_imag_eig=worst, tol=tol)

@@ -19,7 +19,15 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import words as W
-from .matcore import MatrixTuple, direct_sum, sample, spectral_norm
+from .matcore import (
+    CONTRACTION_TUPLE,
+    HAAR_UNITARY,
+    MatrixTuple,
+    direct_sum,
+    point_sampler,
+    spectral_norm,
+    spectral_norms,
+)
 
 FD_STEP = 1e-5
 
@@ -133,6 +141,30 @@ class FreeSeries:
         index = dict(zip(self.coeffs, itertools.count()))
         # w[::-1] is W.involute(w) without a call per word
         return np.array([index.get(w[::-1], -1) for w in self.coeffs], dtype=np.int64)
+
+    @cached_property
+    def _symmetry_violations(self) -> tuple[tuple[W.Word, float], ...]:
+        """validate's symmetry scan, run once per series (empty unless real_free).
+
+        Each word's partner w* comes from _partners. Each pair {w, w*} is
+        judged once, at its first-inserted word w, by
+        |c_{w*} - conj(c_w)| > 1e-12 max(1, |c_w|) (c_{w*} = 0 when w* is not
+        stored), and is reported at min(w, w*), in sorted order.
+        """
+        sym: list[tuple[W.Word, float]] = []
+        if self.real_free and self.coeffs:
+            vals, partner = self.values, self._partners
+            first = (partner < 0) | (partner >= np.arange(len(vals)))
+            mirror = np.where(partner >= 0, vals[partner], 0.0)
+            # hypot rounds as Python's abs does; np.abs on complex128 need not
+            z = mirror - np.conj(vals)
+            gap = np.hypot(z.real, z.imag)
+            bad = np.flatnonzero(first & (gap > 1e-12 * np.maximum(1.0, np.hypot(vals.real, vals.imag))))
+            if bad.size:
+                words = list(self.coeffs)
+                for i in bad:
+                    sym.append((min(words[i], W.involute(words[i])), float(gap[i])))
+        return tuple(sorted(sym))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -286,28 +318,12 @@ class SeriesDiagnostics:
 def validate(f: FreeSeries) -> SeriesDiagnostics:
     """Check the real_free symmetry and the decay bound, without raising.
 
-    The symmetry scan reads each word's partner w* from f._partners, a
-    lookup of every involute in an index over the stored words, cached
-    because certify_monotone validates on every call. Each pair {w, w*} is
-    judged once, at its first-inserted word w, by
-    |c_{w*} - conj(c_w)| > 1e-12 max(1, |c_w|) (c_{w*} = 0 when w* is not
-    stored), and is reported at min(w, w*).
+    The symmetry scan is f._symmetry_violations, cached on the series
+    because certify_monotone and the other certificates check the symmetry
+    on every call.
     The decay scan flags every w with |c_w| > r^{-|w|} (1 + 1e-12); a bound
     past the float range is inf and flags nothing.
     """
-    sym: list[tuple[W.Word, float]] = []
-    if f.real_free and f.coeffs:
-        vals, partner = f.values, f._partners
-        first = (partner < 0) | (partner >= np.arange(len(vals)))
-        mirror = np.where(partner >= 0, vals[partner], 0.0)
-        # hypot rounds as Python's abs does; np.abs on complex128 need not
-        z = mirror - np.conj(vals)
-        gap = np.hypot(z.real, z.imag)
-        bad = np.flatnonzero(first & (gap > 1e-12 * np.maximum(1.0, np.hypot(vals.real, vals.imag))))
-        if bad.size:
-            words = list(f.coeffs)
-            for i in bad:
-                sym.append((min(words[i], W.involute(words[i])), float(gap[i])))
     decay: list[tuple[W.Word, float]] = []
     if f.decay_rate is not None:
         letters, start = f._letters
@@ -318,15 +334,14 @@ def validate(f: FreeSeries) -> SeriesDiagnostics:
         mag = np.hypot(f.values.real, f.values.imag)
         bad = mag > bound * (1 + 1e-12)
         decay = list(zip(itertools.compress(f.coeffs, bad.tolist()), (mag - bound)[bad].tolist()))
-    return SeriesDiagnostics(tuple(sorted(sym)), tuple(sorted(decay)))
+    return SeriesDiagnostics(f._symmetry_violations, tuple(sorted(decay)))
 
 
 def require_real_free(f: FreeSeries, what: str) -> None:
     if not f.real_free:
         raise ValueError(f"{what} needs a real_free series")
-    diag = validate(f)
-    if diag.symmetry_violations:
-        w, gap = diag.symmetry_violations[0]
+    if f._symmetry_violations:
+        w, gap = f._symmetry_violations[0]
         raise ValueError(
             f"{what}: coefficient symmetry fails at word {list(w)} (gap {gap:.3e})"
         )
@@ -645,11 +660,71 @@ class AxiomReport:
         )
 
 
-def _default_sampler(d: int):
-    def sampler(n: int, seed: int) -> MatrixTuple:
-        return sample("contraction_tuple", n, d, seed)
+def _default_sampler(d: int) -> Callable[[int, int], MatrixTuple]:
+    return point_sampler(CONTRACTION_TUPLE, d)
 
-    return sampler
+
+def _ok(value):
+    """value, unless it is the exception its step raised: then raise it."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _attempt(fn: Callable, *args):
+    """fn(*args), or the first exception among args, or the exception fn raised."""
+    try:
+        return fn(*map(_ok, args))
+    except Exception as exc:
+        return exc
+
+
+def _grouped(one: Callable, many: Callable | None, items: list, key: Callable) -> list:
+    """one(item) for every item, in order, an exception standing for a failed
+    step; an item that is an exception stays as it is.
+
+    Items with the same key go through many(group) in one call, which
+    returns one value per item, when many is given and the key is not None.
+    If that call raises, the group is redone item by item with one, so each
+    item gets its own value or its own exception.
+    """
+    out = list(items)
+    groups: dict = {}
+    for i, item in enumerate(items):
+        if not isinstance(item, Exception):
+            groups.setdefault(key(item) if many else None, []).append(i)
+    for k, idx in groups.items():
+        if k is not None:
+            try:
+                for i, value in zip(idx, many([items[i] for i in idx])):
+                    out[i] = value
+                continue
+            except Exception:
+                pass
+        for i in idx:
+            out[i] = _attempt(one, items[i])
+    return out
+
+
+def _draws(sampler: Callable, ns: list[int], seeds: list[int]) -> list:
+    """sampler(n, seed) for every pair; one sampler.batch(n, seeds) per size
+    when the sampler has that form."""
+    batch = getattr(sampler, "batch", None)
+    many = batch and (lambda group: batch(group[0][0], [s for _, s in group]))
+    return _grouped(lambda item: sampler(*item), many, list(zip(ns, seeds)), key=lambda item: item[0])
+
+
+def _conjugate(X: MatrixTuple, U: np.ndarray) -> MatrixTuple:
+    return MatrixTuple(U.conj().T @ X.mats @ U)
+
+
+def _stacked_norms(mats: list[np.ndarray]) -> list[float]:
+    return spectral_norms(np.array(mats)).tolist()
+
+
+def _norm_group(M: np.ndarray):
+    # a float residual is normed as float, never promoted to complex
+    return (M.shape, M.dtype) if M.ndim == 2 and M.size else None
 
 
 def axiom_verify(
@@ -665,29 +740,74 @@ def axiom_verify(
 
     Per trial: gradedness (output size equals input size), the direct-sum
     axiom f(X (+) Y) = f(X) (+) f(Y), and unitary similarity
-    f(U* X U) = U* f(X) U, reported as relative residuals.
+    f(U* X U) = U* f(X) U, reported as relative residuals. Trial t draws X
+    of size sizes[t % len(sizes)] with seed s = seed + 7919 t, Y of the next
+    size with seed s + 1 and U with seed s + 2.
+
+    The work runs in three passes over all trials. First every X, Y and U
+    is drawn, one batch per size, and X (+) Y and U* X U are formed. Then
+    the 4 * trials points are evaluated, one call per point size. Then the
+    residual matrices are built trial by trial and their spectral norms are
+    taken in stacked SVDs, one per shape and dtype. An evaluator or sampler
+    with a batch attribute is called in batches: evaluator.batch(points)
+    returns the (P, n, n) values of same-size points, sampler.batch(n,
+    seeds) the draws of many seeds. Without it the plain callable runs once
+    per point. A batch that raises is redone point by point, and a stacked
+    SVD that raises matrix by matrix, so errors stay per trial.
+
+    A trial that fails records the first error in this order: drawing X,
+    drawing Y, f(X), f(Y), X (+) Y, f(X (+) Y), the direct-sum residual,
+    drawing U, f(U* X U) (with U* X U), the similarity residual. The
+    evaluator may also see the later points of a failed trial; the report
+    is as if each trial had stopped at its first error.
     """
     sampler = sampler or _default_sampler(d)
-    out: list[AxiomTrial] = []
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        n2 = sizes[(t + 1) % len(sizes)]
+    ns = [sizes[t % len(sizes)] for t in range(trials)]
+    ns2 = [sizes[(t + 1) % len(sizes)] for t in range(trials)]
+    seeds = [seed + 7919 * t for t in range(trials)]
+    xs = _draws(sampler, ns, seeds)
+    ys = _draws(sampler, ns2, [s + 1 for s in seeds])
+    us = _draws(point_sampler(HAAR_UNITARY), ns, [s + 2 for s in seeds])
+    points = []
+    for X, Y, U in zip(xs, ys, us):
+        points += [X, Y, _attempt(direct_sum, X, Y), _attempt(_conjugate, X, U)]
+    values = _grouped(
+        lambda X: np.asarray(evaluator(X)),
+        getattr(evaluator, "batch", None),
+        points,
+        key=lambda X: X.mats.shape if isinstance(X, MatrixTuple) else None,
+    )
+    # per trial: gradedness and the four norm operands, or fewer and the error
+    parts: list[tuple[bool, list]] = []
+    for t, (n, n2) in enumerate(zip(ns, ns2)):
+        fX_, fY_, both_, sim_ = values[4 * t : 4 * t + 4]
+        graded, mats = False, []
         try:
-            X = sampler(n, seed + 7919 * t)
-            Y = sampler(n2, seed + 7919 * t + 1)
-            fX = np.asarray(evaluator(X))
+            _ok(xs[t])
+            _ok(ys[t])
+            fX = _ok(fX_)
             graded = fX.shape == (n, n)
-            fY = np.asarray(evaluator(Y))
-            both = np.asarray(evaluator(direct_sum(X, Y)))
+            fY = _ok(fY_)
+            both = _ok(both_)
             stacked = np.zeros((n + n2, n + n2), dtype=np.result_type(fX, fY, np.float64))
             stacked[:n, :n], stacked[n:, n:] = fX, fY
-            ds_res = spectral_norm(both - stacked) / (1 + spectral_norm(stacked))
-            U = sample("haar_unitary", n, 1, seed + 7919 * t + 2)
-            conjugated = MatrixTuple(U.conj().T @ X.mats @ U)
-            sim = np.asarray(evaluator(conjugated))
-            sim_res = spectral_norm(sim - U.conj().T @ fX @ U) / (1 + spectral_norm(fX))
+            mats += [both - stacked, stacked]
+            U = _ok(us[t])
+            sim = _ok(sim_)
+            mats += [sim - U.conj().T @ fX @ U, fX]
+        except Exception as exc:
+            mats.append(exc)
+        parts.append((graded, mats))
+    norms = iter(_grouped(spectral_norm, _stacked_norms, [M for _, mats in parts for M in mats], key=_norm_group))
+    out: list[AxiomTrial] = []
+    for n, (graded, mats) in zip(ns, parts):
+        got = [next(norms) for _ in mats]
+        exc = next((v for v in got if isinstance(v, Exception)), None)
+        if exc is None:
+            ds_norm, stacked_norm, sim_norm, fX_norm = got
+            ds_res, sim_res = ds_norm / (1 + stacked_norm), sim_norm / (1 + fX_norm)
             out.append(AxiomTrial(n=n, graded=graded, direct_sum_residual=float(ds_res), similarity_residual=float(sim_res)))
-        except Exception as exc:  # recorded, not fatal
+        else:  # recorded, not fatal
             out.append(
                 AxiomTrial(n=n, graded=False, direct_sum_residual=float("nan"), similarity_residual=float("nan"), error=f"{type(exc).__name__}: {exc}")
             )

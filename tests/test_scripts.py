@@ -53,7 +53,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "38 of 38 commands identical"
+    assert lines[-1] == "39 of 39 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -119,6 +119,7 @@ def test_compare_reports_runs_the_tuple_commands(tmp_path):
     assert labels == [
         "axioms --rep type4_rep --samples 10",
         "axioms --series d2res_series --samples 10 --dim 3",
+        "axioms --rep type2_rep --samples 30 --dim 4 --seed 7",
         "cayley --point pi2_point --direction half2disk",
         "deriv --series d2res_series --point generic_point --direction pi2_point --method block",
         "deriv --series d2res_series --point generic_point --direction pi2_point --method localizing",
@@ -194,7 +195,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "36 of 38 commands identical"
+    assert out.splitlines()[-1] == "37 of 39 commands identical"
 
 
 WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
@@ -230,4 +231,4 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     assert module.main() == (verdict != "same")
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
-    assert lines[-1] == f"{38 if verdict == 'same' else 0} of 38 commands identical"
+    assert lines[-1] == f"{39 if verdict == 'same' else 0} of 39 commands identical"

@@ -427,6 +427,18 @@ def test_identity_validation_errors(x3_series, ones_pair):
 # ------------------------------------------------------------------ axiom fuzz
 
 
+def test_symmetry_scan_runs_once_per_series():
+    f = random_series(2, 3, seed=4, real_free=True)
+    require_real_free(f, "x")
+    scan = vars(f)["_symmetry_violations"]
+    assert scan == () and validate(f).symmetry_violations is scan
+    g = FreeSeries(d=1, degree=2, coeffs={(1,): 1j}, real_free=True)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^x: coefficient symmetry fails at word \[1\] \(gap 2\.000e\+00\)$"):
+            require_real_free(g, "x")
+    assert validate(g).symmetry_violations is vars(g)["_symmetry_violations"]
+
+
 def test_series_evaluator_passes_axioms():
     f = random_series(2, 3, seed=17)
     report = axiom_verify(series_evaluator(f), d=2, trials=24, seed=1)
