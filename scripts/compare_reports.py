@@ -11,10 +11,14 @@ a schema error), the tuple commands of `tuple_commands`, `interpolate`
 at a generic two-letter point and the five commands of `edge_commands`
 (the sparse series where its report has exact zeros, two series whose
 header the constructor refuses, and eval and monotone on a real-free
-series of degree 70) run once per tree in a child interpreter with
-PYTHONPATH set to that tree and one BLAS thread. Each run writes its report
-with --out to report.json in a fresh working directory of its own, so the
-argv is the same for both trees.
+series of degree 70) run once per tree. Each tree's commands run in one
+child interpreter with PYTHONPATH set to that tree and one BLAS thread,
+which calls `freepick.cli.main` once per command. Each command runs in a
+fresh working directory of its own and writes its report with --out to
+report.json there, so the argv is the same for both trees. Its stdout and
+stderr are captured, its exit code is main's return value or the code of
+the SystemExit it raised, and it runs inside `warnings.catch_warnings()`,
+so a warning prints for each command as it would in a fresh process.
 The report bytes, stdout, stderr and exit code of the two runs are
 compared, with the tree's own path in stderr (a warning's source line)
 written as <src> and the line number of a source location under it as
@@ -24,14 +28,19 @@ status is 1 when anything differs, else 0.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import pickle
 import re
 import shlex
 import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -179,20 +188,59 @@ def tuple_commands(point: Path) -> list[list[str]]:
     ]
 
 
-def run(src: Path, argv: list[str]) -> tuple[bytes | None, str, str, int]:
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_ENV})
+def run_here(main, argv: list[str]) -> tuple[bytes | None, str, str, int]:
+    """The report bytes, stdout, stderr and exit code of main(argv + --out
+    report.json), run in a fresh working directory."""
+    stdout, stderr, home = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as cwd:
+        os.chdir(cwd)
+        try:
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main([*argv, "--out", "report.json"])
+                except SystemExit as exc:  # mapped to an exit code as the interpreter does
+                    code = 0 if exc.code is None else exc.code
+                    if not isinstance(code, int):
+                        print(code, file=sys.stderr)
+                        code = 1
+                except Exception:
+                    traceback.print_exc()
+                    code = 1
+            out = Path(cwd) / "report.json"
+            report = out.read_bytes() if out.exists() else None
+        finally:
+            os.chdir(home)
+    return report, stdout.getvalue(), stderr.getvalue(), code
+
+
+def child(results: str) -> int:
+    """Run the commands listed as JSON on stdin with this interpreter's
+    freepick, and pickle their outcomes to the file results."""
+    from freepick.cli import main
+
+    outcomes = [run_here(main, argv) for argv in json.load(sys.stdin)]
+    Path(results).write_bytes(pickle.dumps(outcomes))
+    return 0
+
+
+def run_tree(src: Path, commands: list[list[str]]) -> list[tuple[bytes | None, str, str, int]]:
+    """The outcome of every command against the tree src, from one child
+    interpreter, with the tree's path normalised in stderr."""
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_ENV})
+    with tempfile.TemporaryDirectory() as tmp:
+        results = Path(tmp) / "results.pickle"
         proc = subprocess.run(
-            [sys.executable, "-m", "freepick", *argv, "--out", "report.json"],
-            cwd=cwd,
+            [sys.executable, str(Path(__file__).resolve()), "--child", str(results)],
+            input=json.dumps(commands),
             env=env,
             capture_output=True,
             text=True,
-            timeout=300,
+            timeout=600,
         )
-        out = Path(cwd) / "report.json"
-        report = out.read_bytes() if out.exists() else None
-    return report, proc.stdout, normalize_stderr(proc.stderr, src), proc.returncode
+        if proc.returncode != 0 or not results.exists():
+            raise RuntimeError(f"the child for {src} exited with {proc.returncode}:\n{proc.stderr}")
+        outcomes = pickle.loads(results.read_bytes())
+    return [(report, out, normalize_stderr(err, src), code) for report, out, err, code in outcomes]
 
 
 def normalize_stderr(text: str, src: Path) -> str:
@@ -232,8 +280,8 @@ def main() -> int:
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
         commands += edge_commands(point, sparse, diagonal, header_rejected, deep)
         differ = 0
-        for argv in commands:
-            a, b = (run(src, argv) for src in trees)
+        runs = [run_tree(src, commands) for src in trees]
+        for argv, a, b in zip(commands, *runs):
             bad = [name for name, x, y in zip(("report", "stdout", "stderr", "exit code"), a, b) if x != y]
             differ += bool(bad)
             label = " ".join(Path(x).name if os.sep in x else x for x in argv)
@@ -243,4 +291,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(child(sys.argv[2]) if sys.argv[1:2] == ["--child"] else main())

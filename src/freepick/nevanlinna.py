@@ -241,12 +241,17 @@ def representation_evaluator(spec: RepresentationSpec) -> Callable[[MatrixTuple]
 
 
 def scalar_evaluator(spec: RepresentationSpec) -> Callable[[complex], complex]:
-    """h restricted to scalar points (z, ..., z), identified with C."""
+    """h restricted to scalar points (z, ..., z), identified with C; its
+    batch attribute evaluates a sequence of such z with one
+    eval_representation_batch."""
+
+    def point(z: complex) -> MatrixTuple:
+        return MatrixTuple(np.full((spec.d, 1, 1), z))
 
     def ev(z: complex) -> complex:
-        Z = MatrixTuple(np.full((spec.d, 1, 1), z))
-        return complex(eval_representation(spec, Z)[0, 0])
+        return complex(eval_representation(spec, point(z))[0, 0])
 
+    ev.batch = lambda zs: eval_representation_batch(spec, [point(z) for z in zs])[:, 0, 0].tolist()
     return ev
 
 
@@ -295,7 +300,12 @@ class AsymptoticProbe:
 
 
 def asymptotic_probe(evaluator: Callable[[complex], complex], smax: float = 2.0**20) -> AsymptoticProbe:
-    """Probe a scalar-level evaluator h along is for s = 1, 2, 4, ... <= smax."""
+    """Probe a scalar-level evaluator h along is for s = 1, 2, 4, ... <= smax.
+
+    An evaluator with a batch attribute gets the whole grid in one
+    batch(zs) call. If that raises, the grid is evaluated point by point,
+    so the first failing point raises its own error.
+    """
     if not (math.isfinite(smax) and smax >= 1):
         raise ValueError(f"smax must be finite and at least 1, got {smax}")
     grid: list[float] = []
@@ -306,8 +316,16 @@ def asymptotic_probe(evaluator: Callable[[complex], complex], smax: float = 2.0*
     mods: list[float] = []
     scaled: list[float] = []
     damped: list[float] = []
-    for s in grid:
-        h = complex(evaluator(1j * s))
+    zs = [1j * s for s in grid]
+    hs = None
+    if hasattr(evaluator, "batch"):
+        try:
+            hs = [complex(h) for h in evaluator.batch(zs)]
+        except Exception:  # redone point by point below, which raises the first failing point's error
+            pass
+    if hs is None:
+        hs = [complex(evaluator(z)) for z in zs]
+    for s, h in zip(grid, hs):
         mods.append(s * abs(h))
         scaled.append(s * h.imag)
         damped.append(h.imag / s)

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,9 +27,14 @@ from .matcore import (
     point_sampler,
     spectral_norm,
     spectral_norms,
+    stack_points,
 )
 
 FD_STEP = 1e-5
+
+# the most memory one stacked Horner pass, or one chunk of axiom_verify's
+# trials, may hold; a larger stack runs in several consecutive parts
+BATCH_BYTES = 1 << 24
 
 _BOOLS = {bool, np.bool_}
 
@@ -370,24 +375,26 @@ def tail_bound(f: FreeSeries, X: MatrixTuple) -> float:
 
 
 def _add_scalars(U: np.ndarray, c: np.ndarray | None) -> None:
-    """Add c[i] I to the rows of node i, in place.
+    """Add c[i] I to the rows of node i at every point, in place.
 
-    U is the (len(c) * rows, N) state of :func:`_horner`, rows <= N, so c[i]
-    lands on the diagonal of rows i * rows .. (i + 1) * rows - 1. Every state
-    is a fresh C-contiguous array, so the reshape is a view of U; its sizes
-    are explicit, so that N = 0 works too."""
+    U is the (P, len(c) * rows, N) state of :func:`_horner`, rows <= N, so
+    c[i] lands on the diagonal of rows i * rows .. (i + 1) * rows - 1 of
+    each point. Every state is a fresh C-contiguous array, so the reshape is
+    a view of U; its sizes are explicit, so that N = 0 works too."""
     if c is not None:
-        m = len(c)
-        U.reshape(m, U.size // m)[:, :: U.shape[1] + 1] += c[:, None]
+        P, m = len(U), len(c)
+        U.reshape(P, m, U.shape[1] // m * U.shape[2])[:, :, :: U.shape[2] + 1] += c[:, None]
 
 
-def _horner(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray:
-    """The first `rows` rows of f at the (d, N, N) point, as a (rows, N) array.
+def _horner(f: FreeSeries, points: np.ndarray, rows: int) -> np.ndarray:
+    """The first `rows` rows of f at each of a stack of (d, N, N) points, as
+    a (P, rows, N) array.
 
     A right Horner pass over the suffix trie: U_s = c_s I + sum_k U_{x_k s} X_k
     from the deepest level up, so that U_e = f(X). Only the first rows of
     each U_s are carried, stacked node by node, so the rows of one letter's
-    nodes are contiguous and each block of a level is one GEMM on them.
+    nodes are contiguous and each block of a level is one stacked GEMM on
+    them, one GEMM per point as numpy's matmul loops over the stack.
 
     Each level folds into its parents in letter order: a dense block (one
     child of every parent) is a product of the level above's shape, and a
@@ -397,24 +404,25 @@ def _horner(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray:
     signed zeros included, and the first block's parents at its product.
     """
     trie = f.suffix_trie
-    N = point.shape[-1]
-    U = np.zeros((trie[-1].size * rows, N), dtype=np.complex128)
+    P, N = len(points), points.shape[-1]
+    letters = points.swapaxes(0, 1)  # letters[k]: the (P, N, N) stack of X_{k+1}
+    U = np.zeros((P, trie[-1].size * rows, N), dtype=np.complex128)
     for depth in range(len(trie) - 1, 0, -1):
         level, up = trie[depth], trie[depth - 1].size
         _add_scalars(U, level.coeff)
         (k, _, b), *rest = level.blocks
-        V = U[: b * rows] @ point[k]
+        V = U[:, : b * rows] @ letters[k]
         if b < up:
-            P, V = V, np.zeros((up * rows, N), dtype=np.complex128)
-            W = V.reshape(up, rows * N)
-            W[level.parent[b:]] = -0.0
-            W[level.parent[:b]] = P.reshape(b, rows * N)
+            first, V = V, np.zeros((P, up * rows, N), dtype=np.complex128)
+            W = V.reshape(P, up, rows * N)
+            W[:, level.parent[b:]] = -0.0
+            W[:, level.parent[:b]] = first.reshape(P, b, rows * N)
         for k, a, b in rest:
-            P = U[a * rows : b * rows] @ point[k]
+            product = U[:, a * rows : b * rows] @ letters[k]
             if b - a == up:
-                V += P
+                V += product
             else:
-                V.reshape(up, rows * N)[level.parent[a:b]] += P.reshape(b - a, rows * N)
+                V.reshape(P, up, rows * N)[:, level.parent[a:b]] += product.reshape(P, b - a, rows * N)
         U = V
     _add_scalars(U, trie[0].coeff)
     return U
@@ -423,12 +431,31 @@ def _horner(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray:
 def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
     """f(X) = sum_{|I| <= degree} c_I X^I with the geometric tail bound.
 
-    One right Horner pass over the suffix trie (see :func:`_horner`): each
-    level is one GEMM per letter over that letter's nodes.
+    The value is the stacked Horner pass of :func:`eval_series_batch` at a
+    stack of one point.
     """
     if f.d != X.d:
         raise ValueError(f"series in {f.d} letters evaluated at a {X.d}-tuple")
-    return EvalResult(value=_horner(f, X.mats, X.n), tail_bound=tail_bound(f, X))
+    return EvalResult(value=_horner(f, X.mats[None], X.n)[0], tail_bound=tail_bound(f, X))
+
+
+def eval_series_batch(f: FreeSeries, points: Sequence[MatrixTuple]) -> np.ndarray:
+    """f at same-size points, (P, n, n), each value equal to its eval_series.
+
+    One right Horner pass over the suffix trie for the whole stack (see
+    :func:`_horner`): each level is one stacked GEMM per letter over that
+    letter's nodes. A stack whose Horner state would pass BATCH_BYTES runs
+    as several passes over consecutive points, each under that size.
+    """
+    Xs = stack_points(points)
+    if Xs.shape[1] != f.d:
+        raise ValueError(f"series in {f.d} letters evaluated at a {Xs.shape[1]}-tuple")
+    n = Xs.shape[-1]
+    # the widest level's state, the level above it and one product, per point
+    widest = max(level.size for level in f.suffix_trie)
+    step = max(1, BATCH_BYTES // (3 * 16 * widest * n * n or 1))
+    parts = [_horner(f, Xs[i : i + step], n) for i in range(0, len(Xs), step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # no library caller; kept because perfbench/spans.py traces it by name
@@ -527,7 +554,7 @@ def derivative(
         big[:, :n, n:] = H.mats
         # a one-row product goes through numpy's gemv, which rounds apart
         # from the gemm of the full pass, so at n = 1 both rows are carried
-        return _horner(f, big, n if n > 1 else 2 * n)[:n, n:]
+        return _horner(f, big[None], n if n > 1 else 2 * n)[0, :n, n:]
     if method == LOCALIZING:
         if f.decay_rate is not None and X.max_norm() * f.d >= 1:
             warnings.warn(
@@ -544,7 +571,10 @@ def derivative(
         )
     if method == FD:
         def central(t: float) -> np.ndarray:
-            return (_horner(f, X.mats + t * H.mats, X.n) - _horner(f, X.mats - t * H.mats, X.n)) / (2 * t)
+            # one pass per shifted point: stacking them was slower at n >= 6
+            plus = _horner(f, (X.mats + t * H.mats)[None], X.n)[0]
+            minus = _horner(f, (X.mats - t * H.mats)[None], X.n)[0]
+            return (plus - minus) / (2 * t)
 
         if richardson:
             return (4 * central(FD_STEP / 2) - central(FD_STEP)) / 3
@@ -744,9 +774,11 @@ def axiom_verify(
     of size sizes[t % len(sizes)] with seed s = seed + 7919 t, Y of the next
     size with seed s + 1 and U with seed s + 2.
 
-    The work runs in three passes over all trials. First every X, Y and U
+    The trials run in chunks of consecutive trials whose points, values and
+    operands hold at most BATCH_BYTES (a chunk has at least one trial), and
+    the work runs in three passes over each chunk. First every X, Y and U
     is drawn, one batch per size, and X (+) Y and U* X U are formed. Then
-    the 4 * trials points are evaluated, one call per point size. Then the
+    the chunk's points are evaluated, one call per point size. Then the
     residual matrices are built trial by trial and their spectral norms are
     taken in stacked SVDs, one per shape and dtype. An evaluator or sampler
     with a batch attribute is called in batches: evaluator.batch(points)
@@ -765,6 +797,23 @@ def axiom_verify(
     ns = [sizes[t % len(sizes)] for t in range(trials)]
     ns2 = [sizes[(t + 1) % len(sizes)] for t in range(trials)]
     seeds = [seed + 7919 * t for t in range(trials)]
+    chunks, start, held = [], 0, 0
+    for t, (n, n2) in enumerate(zip(ns, ns2)):
+        # four points of d coordinates, their values, U and the operands
+        size = 16 * (d + 4) * (2 * n * n + n2 * n2 + (n + n2) ** 2)
+        if held + size > BATCH_BYTES and t > start:
+            chunks.append(slice(start, t))
+            start, held = t, 0
+        held += size
+    chunks.append(slice(start, trials))
+    out: list[AxiomTrial] = []
+    for chunk in chunks:
+        out += _axiom_trials(evaluator, sampler, ns[chunk], ns2[chunk], seeds[chunk])
+    return AxiomReport(trials=tuple(out), tol=tol)
+
+
+def _axiom_trials(evaluator: Callable, sampler: Callable, ns: list[int], ns2: list[int], seeds: list[int]) -> list[AxiomTrial]:
+    """The trials of axiom_verify with these sizes and seeds, in three passes."""
     xs = _draws(sampler, ns, seeds)
     ys = _draws(sampler, ns2, [s + 1 for s in seeds])
     us = _draws(point_sampler(HAAR_UNITARY), ns, [s + 2 for s in seeds])
@@ -799,7 +848,7 @@ def axiom_verify(
             mats.append(exc)
         parts.append((graded, mats))
     norms = iter(_grouped(spectral_norm, _stacked_norms, [M for _, mats in parts for M in mats], key=_norm_group))
-    out: list[AxiomTrial] = []
+    out = []
     for n, (graded, mats) in zip(ns, parts):
         got = [next(norms) for _ in mats]
         exc = next((v for v in got if isinstance(v, Exception)), None)
@@ -811,13 +860,15 @@ def axiom_verify(
             out.append(
                 AxiomTrial(n=n, graded=False, direct_sum_residual=float("nan"), similarity_residual=float("nan"), error=f"{type(exc).__name__}: {exc}")
             )
-    return AxiomReport(trials=tuple(out), tol=tol)
+    return out
 
 
 def series_evaluator(f: FreeSeries) -> Callable[[MatrixTuple], np.ndarray]:
-    """The series as a black-box evaluator (for axiom fuzzing)."""
+    """The series as a black-box evaluator (for axiom fuzzing); its batch
+    attribute evaluates same-size points with one eval_series_batch."""
 
     def ev(X: MatrixTuple) -> np.ndarray:
         return eval_series(f, X).value
 
+    ev.batch = lambda points: eval_series_batch(f, points)
     return ev

@@ -7,7 +7,9 @@ replaces, one _ginibre call per matrix. axiom_verify draws all trials first,
 evaluates the points of one size in one call and takes the residual norms in
 stacked SVDs; oracle_axiom_verify is the one-trial-at-a-time loop it
 replaces. Both pairs must agree exactly: the same draws bit for bit, and the
-same trials field for field, error strings included.
+same trials field for field, error strings included. axiom_verify runs its
+trials in chunks capped by series.BATCH_BYTES, so a small cap must give the
+same report as one chunk.
 """
 
 import numpy as np
@@ -38,6 +40,7 @@ from freepick.nevanlinna import (
     pick_positivity_check,
     representation_evaluator,
 )
+from freepick import series
 from freepick.series import AxiomTrial, axiom_verify, series_evaluator
 
 KINDS = (HAAR_UNITARY, HERMITIAN_TUPLE, PI_POINT, PSD_DIRECTION, CONTRACTION_TUPLE)
@@ -324,21 +327,61 @@ def test_fuzzer_keeps_the_error_order_of_failing_draws(sizes, x3_series):
                 assert_same_trials(new.trials, old, where)
 
 
-def test_fuzzer_batches_each_point_size_once(fixtures_dir):
-    spec = parse_spec(str(fixtures_dir / "type2_rep.json"))
-    ev = representation_evaluator(spec)
-    calls = []
+def counting_batches(ev, calls):
+    """ev with its batch form, recording the size of every call (1 for a
+    single point)."""
 
-    def evaluator(Z):
+    def evaluator(X):
         calls.append(1)
-        return ev(Z)
+        return ev(X)
 
     def batch(points):
         calls.append(len(points))
         return ev.batch(points)
 
     evaluator.batch = batch
+    return evaluator
+
+
+def test_fuzzer_batches_each_point_size_once(fixtures_dir):
+    spec = parse_spec(str(fixtures_dir / "type2_rep.json"))
+    calls = []
+    evaluator = counting_batches(representation_evaluator(spec), calls)
     report = axiom_verify(evaluator, spec.d, trials=30, seed=7, sampler=pi_sampler(spec.d), sizes=(1, 2, 3, 4))
     assert report.passed
     # X, Y and U* X U take sizes 1-4, the sums 3, 5 and 7: six calls for 120 points
     assert len(calls) == 6 and sum(calls) == 120
+
+
+def test_series_fuzzer_batches_each_point_size_once(d2res_series):
+    calls = []
+    evaluator = counting_batches(series_evaluator(d2res_series), calls)
+    report = axiom_verify(evaluator, 2, trials=30, seed=7, sizes=(1, 2, 3))
+    assert report.passed
+    # X, Y and U* X U take sizes 1-3 (30 points each), the sums 3, 5 and 4
+    # (10 each): five calls for 120 points
+    assert sorted(calls) == [10, 10, 30, 30, 40]
+    old = oracle_axiom_verify(series_evaluator(d2res_series), 2, trials=30, seed=7, sizes=(1, 2, 3))
+    assert_same_trials(report.trials, old, "d2res")
+
+
+@pytest.mark.parametrize("cap", [1, 3000, 20000])
+def test_chunked_fuzzer_equals_one_chunk(cap, fixtures_dir, halfres_series, x3_series, d2res_series, monkeypatch):
+    cases = fuzz_cases(fixtures_dir, halfres_series, x3_series, d2res_series)
+    whole = {}
+    for name, evaluator, d, make_sampler in cases:
+        whole[name] = axiom_verify(evaluator, d, trials=30, seed=5, sampler=make_sampler(), sizes=(1, 2, 3))
+    monkeypatch.setattr(series, "BATCH_BYTES", cap)
+    for name, evaluator, d, make_sampler in cases:
+        new = axiom_verify(evaluator, d, trials=30, seed=5, sampler=make_sampler(), sizes=(1, 2, 3))
+        assert_same_trials(new.trials, whole[name].trials, (name, cap))
+        old = oracle_axiom_verify(evaluator, d, trials=30, seed=5, sampler=make_sampler(), sizes=(1, 2, 3))
+        assert_same_trials(new.trials, old, (name, cap))
+    # the cap splits the trials: more evaluator calls than point sizes
+    calls = []
+    spec = parse_spec(str(fixtures_dir / "type2_rep.json"))
+    evaluator = counting_batches(representation_evaluator(spec), calls)
+    axiom_verify(evaluator, spec.d, trials=30, seed=5, sampler=pi_sampler(spec.d), sizes=(1, 2, 3))
+    assert sum(calls) == 120 and len(calls) > 5
+    if cap == 1:  # one trial per chunk: X with U* X U, Y, and X (+) Y
+        assert len(calls) == 90

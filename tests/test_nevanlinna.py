@@ -16,6 +16,7 @@ from freepick.nevanlinna import (
     scalar_evaluator,
 )
 from freepick.series import axiom_verify
+from test_fuzzer_oracles import counting_batches
 from test_resolvent_oracles import delta_Y
 
 
@@ -449,6 +450,68 @@ def test_unsettled_probe_is_flagged():
     verdict = classify_type(probe)
     assert verdict.type == 4
     assert verdict.inconclusive
+
+
+def probe_outcome(evaluator, smax: float) -> str:
+    """The probe's repr, which prints every float exactly (signed zeros
+    included), or the type and text of the error it raised."""
+    try:
+        return repr(asymptotic_probe(evaluator, smax=smax))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_batched_probe_equals_the_per_point_probe(kind, fixtures_dir):
+    spec = parse_spec(str(fixtures_dir / f"type{kind}_rep.json"))
+    ev = scalar_evaluator(spec)
+    assert hasattr(ev, "batch")
+    for smax in (1.0, 3.0, 64.0, 2.0**20, 2.0**40):
+        assert probe_outcome(ev, smax) == probe_outcome(lambda z: ev(z), smax), smax
+    # at s = 2^40 the kind-4 resolvent is too ill-conditioned: the batch
+    # names its point 40, and the rerun raises the error of that point alone
+    if kind == 4:
+        with pytest.raises(SingularityError, match=r"^structured resolvent at point 40 has condition number"):
+            ev.batch([1j * 2.0**s for s in range(41)])
+        assert probe_outcome(ev, 2.0**40).startswith("SingularityError: structured resolvent at point 0 ")
+
+
+def test_probe_makes_one_batch_call(fixtures_dir):
+    spec = parse_spec(str(fixtures_dir / "type4_rep.json"))
+    calls = []
+    asymptotic_probe(counting_batches(scalar_evaluator(spec), calls), smax=2.0**20)
+    assert calls == [21]
+
+
+def test_probe_batch_failure_raises_the_per_point_error():
+    ev = scalar_evaluator(diag_spec(2, a=1.0))
+
+    def evaluator(z):
+        if z.imag >= 4.0:
+            raise SingularityError(f"refused at {z.imag:g}")
+        return ev(z)
+
+    def batch(zs):
+        raise RuntimeError("the batch failed")
+
+    evaluator.batch = batch
+    with pytest.raises(SingularityError, match=r"^refused at 4$"):
+        asymptotic_probe(evaluator, smax=16.0)
+    # a batch that fails where every point succeeds gives the per-point probe
+    got = asymptotic_probe(evaluator, smax=2.0)
+    assert repr(got) == repr(asymptotic_probe(ev, smax=2.0))
+
+
+def test_probe_keeps_the_error_order_of_plain_callables():
+    seen = []
+
+    def evaluator(z):
+        seen.append(z.imag)
+        return "not a number" if z.imag == 2.0 else 1j
+
+    with pytest.raises(ValueError, match="complex"):
+        asymptotic_probe(evaluator, smax=8.0)
+    assert seen == [1.0, 2.0]
 
 
 # ------------------------------------------------------------------ positivity

@@ -33,6 +33,12 @@ ordered by the suffixes read right to left, one batched product per level
 over every node and a gather-add per sibling rank. That one adds the same
 terms in the same order, so it must agree bit for bit, signed zeros
 included.
+
+The pass itself runs on a stack of points, one stacked GEMM per letter per
+level for the whole stack, and eval_series, the block derivative, the fd
+route and eval_series_batch all go through it. Its oracle is the same pass
+at one point, planar_horner below, with one 2-D GEMM per letter per level;
+each point of the stack must equal it bit for bit, signed zeros included.
 """
 
 import json
@@ -54,6 +60,7 @@ from freepick.series import (
     TrieLevel,
     derivative,
     eval_series,
+    eval_series_batch,
     localizing_matrix,
     pencil_contraction,
     validate,
@@ -170,6 +177,39 @@ def batched_horner(f: FreeSeries, X: MatrixTuple) -> np.ndarray:
             U[level.parent] = children
     add_scalars(U, trie[0].coeff)
     return U[0]
+
+
+def planar_horner(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray:
+    """The first rows rows of f at one (d, N, N) point, as a (rows, N) array:
+    the Horner pass of series._horner at a single point, with 2-D states."""
+
+    def add_scalars(U, c):
+        if c is not None:
+            m = len(c)
+            U.reshape(m, U.size // m)[:, :: U.shape[1] + 1] += c[:, None]
+
+    trie = f.suffix_trie
+    N = point.shape[-1]
+    U = np.zeros((trie[-1].size * rows, N), dtype=np.complex128)
+    for depth in range(len(trie) - 1, 0, -1):
+        level, up = trie[depth], trie[depth - 1].size
+        add_scalars(U, level.coeff)
+        (k, _, b), *rest = level.blocks
+        V = U[: b * rows] @ point[k]
+        if b < up:
+            P, V = V, np.zeros((up * rows, N), dtype=np.complex128)
+            W = V.reshape(up, rows * N)
+            W[level.parent[b:]] = -0.0
+            W[level.parent[:b]] = P.reshape(b, rows * N)
+        for k, a, b in rest:
+            P = U[a * rows : b * rows] @ point[k]
+            if b - a == up:
+                V += P
+            else:
+                V.reshape(up, rows * N)[level.parent[a:b]] += P.reshape(b - a, rows * N)
+        U = V
+    add_scalars(U, trie[0].coeff)
+    return U
 
 
 def dict_localizing_matrix(f: FreeSeries, k: int, L: int) -> np.ndarray:
@@ -471,6 +511,98 @@ def test_signed_zeros_match_the_batched_pass():
             M[0, -1] += rng.choice([-0.5, 0.0, 0.5])
             mats.append(M)
         assert_eval_matches_oracles(f, MatrixTuple(tuple(mats)))
+
+
+def signed_zero_case(rng: np.random.Generator, count: int) -> tuple[FreeSeries, list[MatrixTuple]]:
+    """A sparse series of degree 6 and count diagonal-ish points with zero
+    entries, as in test_signed_zeros_match_the_batched_pass."""
+    d = int(rng.integers(2, 4))
+    stored = [tuple(int(x) for x in rng.integers(1, d + 1, size=int(rng.integers(0, 7)))) for _ in range(10)]
+    f = FreeSeries(d=d, degree=6, coeffs={w: float(rng.choice([-1.0, 0.5, 1.0])) for w in stored})
+    n = int(rng.integers(1, 4))
+    points = []
+    for _ in range(count):
+        mats = np.zeros((d, n, n), dtype=np.complex128)
+        for M in mats:
+            M[...] = np.diag(rng.choice([-1.0, 0.0, 0.5, 1.0], size=n))
+            M[0, -1] += rng.choice([-0.5, 0.0, 0.5])
+        points.append(MatrixTuple(mats))
+    return f, points
+
+
+def assert_stack_matches_planar(f: FreeSeries, points: list[MatrixTuple]) -> None:
+    """The stacked pass at every prefix of points, at every rows the
+    library uses, against planar_horner point by point."""
+    stack = np.array([X.mats for X in points])
+    n = stack.shape[-1]
+    for P in range(1, len(points) + 1):
+        for rows in (n, 2 * n) if n == 1 else (n,):
+            got = series._horner(f, stack[:P], rows)
+            assert got.shape == (P, rows, n)
+            for p in range(P):
+                assert_same_bits(got[p], planar_horner(f, stack[p], rows))
+        assert_same_bits(eval_series_batch(f, points[:P]), np.array([eval_series(f, X).value for X in points[:P]]))
+
+
+def test_stacked_pass_matches_the_planar_pass():
+    rng = np.random.default_rng(25)
+    cases = [random_dense(d, degree, rng) for d, degree in ((1, 12), (2, 6), (3, 4))] + [deep_sparse(rng)]
+    for f in cases:
+        for n in (1, 3):
+            points = [MatrixTuple(0.4 * general_tuple(n, f.d, rng).mats) for _ in range(5)]
+            assert_stack_matches_planar(f, points)
+        # block points of the derivative: the top block row at n = 3, both rows at n = 1
+        for n in (1, 3):
+            X = [MatrixTuple(0.4 * general_tuple(n, f.d, rng).mats) for _ in range(5)]
+            H = [general_tuple(n, f.d, rng) for _ in range(5)]
+            stack = np.array([block_point(x, h).mats for x, h in zip(X, H)])
+            rows = n if n > 1 else 2 * n
+            for P in range(1, 6):
+                got = series._horner(f, stack[:P], rows)
+                for p in range(P):
+                    assert_same_bits(got[p], planar_horner(f, stack[p], rows))
+            for x, h, big in zip(X, H, stack):
+                assert_same_bits(derivative(f, x, h, method="block"), planar_horner(f, big, rows)[:n, n:])
+
+
+def test_stacked_pass_keeps_signed_zeros():
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        f, points = signed_zero_case(rng, 5)
+        assert_stack_matches_planar(f, points)
+
+
+def test_fd_route_is_two_planar_passes(halfres_series, d2res_series):
+    rng = np.random.default_rng(27)
+    for f in (halfres_series, d2res_series, deep_sparse(rng)):
+        for n in (1, 3):
+            X, H = general_tuple(n, f.d, rng), general_tuple(n, f.d, rng)
+            X = MatrixTuple(0.3 * X.mats)
+
+            def central(t):
+                return (planar_horner(f, X.mats + t * H.mats, n) - planar_horner(f, X.mats - t * H.mats, n)) / (2 * t)
+
+            assert_same_bits(derivative(f, X, H, method="fd"), central(series.FD_STEP))
+            want = (4 * central(series.FD_STEP / 2) - central(series.FD_STEP)) / 3
+            assert_same_bits(derivative(f, X, H, method="fd", richardson=True), want)
+
+
+def test_series_evaluator_batch_matches_single_points(x3_series, halfres_series, d2res_series, monkeypatch):
+    rng = np.random.default_rng(28)
+    for f in (x3_series, halfres_series, d2res_series, deep_sparse(rng)):
+        ev = series.series_evaluator(f)
+        for n in (1, 2, 4):
+            points = [MatrixTuple(0.3 * general_tuple(n, f.d, rng).mats) for _ in range(7)]
+            want = np.array([ev(X) for X in points])
+            assert_same_bits(ev.batch(points), want)
+            # a stack past BATCH_BYTES runs in several passes with the same values
+            with monkeypatch.context() as m:
+                m.setattr(series, "BATCH_BYTES", 1)
+                assert_same_bits(ev.batch(points), want)
+    with pytest.raises(ValueError, match=r"^series in 1 letters evaluated at a 2-tuple$"):
+        eval_series_batch(x3_series, [general_tuple(2, 2, rng)])
+    with pytest.raises(ValueError, match=r"^a batch needs at least one point"):
+        eval_series_batch(x3_series, [general_tuple(2, 1, rng), general_tuple(3, 1, rng)])
 
 
 def test_eval_with_zero_coefficients_and_unstored_suffixes():

@@ -4,6 +4,7 @@ and check that the report comparison script finds differences."""
 import importlib.util
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -189,7 +190,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
             out[field] = (None, "x", "freepick: x\n", 1)[field]
         return tuple(out)
 
-    monkeypatch.setattr(module, "run", run)
+    monkeypatch.setattr(module, "run_tree", lambda tree, commands: [run(tree, argv) for argv in commands])
     monkeypatch.setattr(sys, "argv", ["compare_reports.py", *map(str, trees)])
     assert module.main() == 1
     out = capsys.readouterr().out
@@ -221,10 +222,13 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
         (tree / "freepick").mkdir(parents=True)
         (tree / "freepick" / "__init__.py").touch()
 
-    def fake_run(argv, cwd, env, **kwargs):
+    def fake_run(argv, input, env, **kwargs):
         src = env["PYTHONPATH"]
         stderr = (WARNING if src == str(trees[0]) else stderr_b).format(src=src)
-        return subprocess.CompletedProcess(argv, 0, stdout="", stderr=stderr)
+        # the child pickles one outcome per command to the file named last
+        outcomes = [(b"{}\n", "", stderr, 0) for _ in json.loads(input)]
+        pathlib.Path(argv[-1]).write_bytes(pickle.dumps(outcomes))
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
 
     monkeypatch.setattr(module.subprocess, "run", fake_run)
     monkeypatch.setattr(sys, "argv", ["compare_reports.py", *map(str, trees)])
@@ -232,3 +236,24 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
     assert lines[-1] == f"{39 if verdict == 'same' else 0} of 39 commands identical"
+
+
+def test_compare_reports_child_runs_each_command_as_a_fresh_process():
+    # one child interpreter runs every command: each gets its own warning,
+    # its own working directory for report.json and its own exit code
+    module = load_compare_reports()
+    fixture = lambda name: str(ROOT / "tests" / "fixtures" / f"{name}.json")  # noqa: E731
+    localizing = [
+        "deriv", "--series", fixture("halfres_series"), "--point", fixture("x_point"),
+        "--direction", fixture("h_dir"), "--method", "localizing",
+    ]
+    commands = [localizing, ["eval", "--bogus"], localizing, ["monotone", "--series", fixture("x3_series"), "--degree", "1"]]
+    outcomes = module.run_tree(ROOT / "src", commands)
+    assert [code for *_, code in outcomes] == [0, 1, 0, 0]
+    assert outcomes[0] == outcomes[2]
+    report, stdout, stderr, _ = outcomes[0]
+    assert json.loads(report)["method"] == "localizing" and stdout == ""
+    assert stderr.startswith("<src>/freepick/cli.py:<line>: UserWarning: localizing derivative")
+    report, stdout, stderr, _ = outcomes[1]
+    assert report is None and stdout == "" and "error: the following arguments are required" in stderr
+    assert json.loads(outcomes[3][0])["command"] == "monotone"
