@@ -27,6 +27,18 @@ projection of H_d onto its block i, so that delta(X) = sum_i E_i (x) X_i:
     resolvent form:  A_0 = U, A_i = -E_i, so L = U (x) I - delta(X), and
                      R = (U (x) I + delta(X))(v (x) I).
 
+Both pencils are well conditioned wherever the model evaluates, so their
+solves skip the singular values. With m = CONTRACTION_MARGIN and
+t = UNITARITY_TOL, the contraction gate gives ||delta(X)|| = max_i ||X_i|| <= 1 - m,
+and ||U*U - I|| <= t gives ||U|| <= 1 + t/2 and sigma_min(U) >= 1 - t, so
+
+    Cayley form:     sigma_min(I - (U (x) I) delta(X)) >= m - t/2, sigma_max <= 2;
+    resolvent form:  sigma_min(U (x) I - delta(X)) >= m - t, sigma_max <= 2 + t.
+
+Both condition numbers are at most PENCIL_COND_BOUND = (2 + t) / (m - t),
+about 2.0e6, five orders under COND_CUTOFF; that room also covers the
+rounding of the pencil and of the computed norms the gates compare.
+
 U (x) I_n, v (x) I_n and v* (x) I_n are built once per model and per n and
 kept on the model (PencilScaffold); a batch of same-size points is one
 stack of pencils and one guarded solve (eval_herglotz_batch), and
@@ -60,13 +72,17 @@ from .matcore import (
     cayley,
     checked_solve,
     pencil_terms,
+    screened_norms,
     spectral_norm,
-    spectral_norms,
     stack_points,
 )
 
 UNITARITY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
+
+#: the condition number of either form's pencil at any point the contraction
+#: gate admits is at most this (derived in the module docstring)
+PENCIL_COND_BOUND = (2 + UNITARITY_TOL) / (CONTRACTION_MARGIN - UNITARITY_TOL)
 
 CAYLEY_FORM = "cayley"
 RESOLVENT_FORM = "resolvent"
@@ -123,7 +139,7 @@ class HerglotzModel(PencilScaffold):
 
 
 def _require_strict_contractions(Xs: np.ndarray) -> None:
-    norms = spectral_norms(Xs)
+    norms = screened_norms(Xs, 1.0 - CONTRACTION_MARGIN)
     bad = norms > 1.0 - CONTRACTION_MARGIN
     if bad.any():
         p, i = np.argwhere(bad)[0]
@@ -144,7 +160,8 @@ def eval_herglotz_batch(
 ) -> np.ndarray:
     """Evaluate the model at same-size strict contraction tuples, (P, n, n).
 
-    One pencil per point over a shared scaffold, one guarded stacked solve.
+    One pencil per point over a shared scaffold, one guarded stacked solve,
+    whose verdict PENCIL_COND_BOUND settles.
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
@@ -158,9 +175,9 @@ def eval_herglotz_batch(
     if form == CAYLEY_FORM:
         UD = UI @ D
         eye = np.eye(UD.shape[-1])
-        sol = checked_solve(eye - UD, v_col, "Herglotz Cayley kernel")
+        sol = checked_solve(eye - UD, v_col, "Herglotz Cayley kernel", PENCIL_COND_BOUND)
         return v_row @ (eye + UD) @ sol
-    sol = checked_solve(UI - D, (UI + D) @ v_col, "Herglotz resolvent")
+    sol = checked_solve(UI - D, (UI + D) @ v_col, "Herglotz resolvent", PENCIL_COND_BOUND)
     return -1j * model.a * np.eye(n) + v_row @ sol
 
 

@@ -6,7 +6,8 @@ Conventions used everywhere:
 - eigensolves act on the symmetrization (H + H*)/2, and asymmetry beyond
   1e-10 * ||H|| is an input error rather than something to fix silently;
 - PSD verdicts are relative: min_eig >= -tol * (1 + ||H||_2);
-- every inversion is guarded by a condition-number cutoff of 1e12;
+- every inversion is guarded by a condition-number cutoff of 1e12, checked
+  from the singular values unless the caller proves a bound under it;
 - a point X = (X_1, ..., X_d) is a MatrixTuple, one (d, n, n) complex128
   array copied at construction, so stacked routes read it as it is.
 
@@ -81,6 +82,22 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(spectral_norms(M))
 
 
+def screened_norms(S: np.ndarray, limit: float) -> np.ndarray:
+    """Upper bounds on the spectral norms of a stack (..., m, k) that decide
+    ||S_i||_2 <= limit exactly: the Frobenius norms, rounded up, when every
+    one is within limit (||S||_2 <= ||S||_F), and spectral_norms(S) otherwise.
+
+    So screened_norms(S, limit) <= limit is the verdict spectral_norms(S) <=
+    limit matrix by matrix, a value above limit is the spectral norm, and a
+    stack the screen passes takes no singular-value call.
+    """
+    k = S.shape[-2] * S.shape[-1]
+    # the computed Frobenius norm, scaled for the rounding of its k squares and
+    # padded for any square that underflows, is at least the exact one
+    bound = la.norm(S, axis=(-2, -1)) * (1 + 1e-12 + k * np.finfo(float).eps) + 1e-150
+    return bound if (bound <= limit).all() else spectral_norms(S)
+
+
 def hermitianize(M: np.ndarray) -> np.ndarray:
     """(M + M*) / 2, of a matrix or of each matrix of a stack."""
     return (M + M.conj().swapaxes(-1, -2)) / 2
@@ -143,7 +160,9 @@ class MatrixTuple:
 
     def is_selfadjoint(self) -> bool:
         S = self.mats
-        asym = spectral_norms(S - S.conj().swapaxes(1, 2))
+        asym = screened_norms(S - S.conj().swapaxes(1, 2), HERMITICITY_RTOL)
+        if (asym <= HERMITICITY_RTOL).all():  # the threshold below is at least HERMITICITY_RTOL
+            return True
         return bool((asym <= HERMITICITY_RTOL * np.maximum(spectral_norms(S), 1.0)).all())
 
     def max_norm(self) -> float:
@@ -177,18 +196,21 @@ def psd_min_eig(H, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """
     A = as_complex_matrix(H)
     norm = spectral_norm(A)
-    asym = spectral_norm(A - A.conj().T)
-    if asym > HERMITICITY_RTOL * norm:
+    limit = HERMITICITY_RTOL * norm
+    asym = float(screened_norms(A - A.conj().T, limit))
+    if asym > limit:
         raise AsymmetryError(
             f"matrix is not Hermitian: ||H - H*|| = {asym:.3e} "
-            f"exceeds {HERMITICITY_RTOL:g} * ||H|| = {HERMITICITY_RTOL * norm:.3e}"
+            f"exceeds {HERMITICITY_RTOL:g} * ||H|| = {limit:.3e}"
         )
     w = la.eigvalsh(hermitianize(A))
     min_eig = float(w[0]) if w.size else np.inf  # the minimum of an empty spectrum
     return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol * (1 + norm))
 
 
-def checked_solve(A: np.ndarray, B: np.ndarray, what: str | Sequence[str] = "pencil") -> np.ndarray:
+def checked_solve(
+    A: np.ndarray, B: np.ndarray, what: str | Sequence[str] = "pencil", cond_bound: float | None = None
+) -> np.ndarray:
     """A^{-1} B with the package-wide condition cutoff.
 
     A is one matrix (N, N) or a stack (P, N, N), and B broadcasts against it
@@ -197,8 +219,14 @@ def checked_solve(A: np.ndarray, B: np.ndarray, what: str | Sequence[str] = "pen
     verdict is the same as la.cond's matrix by matrix. A stacked call names
     the first matrix past the cutoff by its index, or by its entry in what
     when what is a sequence of labels.
+
+    cond_bound is a caller-proven upper bound on the 2-norm condition number
+    of every matrix in A. At or below the cutoff it settles the verdict, and
+    the solve skips the singular values; the solution is the same
+    numpy.linalg.solve either way. Any other value, and None, checks them.
     """
-    if A.shape[-1] == 0:  # an empty system: nothing to condition, the solution is empty
+    # an empty system has nothing to condition, and a proven bound settles the verdict
+    if A.shape[-1] == 0 or (cond_bound is not None and cond_bound <= COND_CUTOFF):
         return la.solve(A, B)
     s = la.svd(A, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,6 +8,13 @@ np.kron blocks, every A (x) I_n rebuilt per call, the Cayley transform one
 coordinate at a time, and checked_solve guarded by numpy.linalg.cond. The
 two routes form the same products in the same order, so they agree to RTOL
 (in practice bit for bit), and their errors carry the same messages.
+
+The Herglotz pencils skip the singular values on the strength of
+PENCIL_COND_BOUND, so its tests draw models and points on the edge of the
+domain and compare la.cond of the oracle pencils with it. The norm gates
+screen with Frobenius norms; their tests place matrices below, at and above
+each threshold and compare the verdicts and messages with the SVD routes
+they replace, copied here as oracles.
 """
 
 import numpy as np
@@ -19,6 +26,9 @@ from hypothesis import strategies as st
 from freepick.herglotz import (
     CAYLEY_FORM,
     FORMS,
+    PENCIL_COND_BOUND,
+    RESOLVENT_FORM,
+    UNITARITY_TOL,
     HerglotzModel,
     eval_herglotz,
     eval_herglotz_batch,
@@ -27,18 +37,26 @@ from freepick.jsonio import parse_spec
 from freepick.matcore import (
     COND_CUTOFF,
     CONTRACTION_MARGIN,
+    DEFAULT_PSD_TOL,
     DISK_TO_HALF,
     HALF_TO_DISK,
+    HERMITICITY_RTOL,
+    AsymmetryError,
     DomainError,
     MatrixTuple,
+    PsdReport,
     SingularityError,
+    as_complex_matrix,
     cayley,
     checked_solve,
     haar_unitary,
+    hermitianize,
     imag_part,
     psd_min_eig,
     sample,
+    screened_norms,
     spectral_norm,
+    spectral_norms,
 )
 from freepick.nevanlinna import (
     PickPositivityReport,
@@ -59,6 +77,26 @@ def oracle_checked_solve(A, B, what="pencil"):
     if not np.isfinite(c) or c > COND_CUTOFF:
         raise SingularityError(f"{what} has condition number {c:.3e} > {COND_CUTOFF:g}")
     return la.solve(A, B)
+
+
+def oracle_is_selfadjoint(X: MatrixTuple) -> bool:
+    S = X.mats
+    asym = spectral_norms(S - S.conj().swapaxes(1, 2))
+    return bool((asym <= HERMITICITY_RTOL * np.maximum(spectral_norms(S), 1.0)).all())
+
+
+def oracle_psd_min_eig(H, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
+    A = as_complex_matrix(H)
+    norm = spectral_norm(A)
+    asym = spectral_norm(A - A.conj().T)
+    if asym > HERMITICITY_RTOL * norm:
+        raise AsymmetryError(
+            f"matrix is not Hermitian: ||H - H*|| = {asym:.3e} "
+            f"exceeds {HERMITICITY_RTOL:g} * ||H|| = {HERMITICITY_RTOL * norm:.3e}"
+        )
+    w = la.eigvalsh(hermitianize(A))
+    min_eig = float(w[0]) if w.size else np.inf
+    return PsdReport(min_eig=min_eig, is_psd=min_eig >= -tol * (1 + norm))
 
 
 def delta(X: MatrixTuple, m: int) -> np.ndarray:
@@ -236,12 +274,77 @@ def fixture_spec(fixtures_dir, kind: int) -> RepresentationSpec:
     return parse_spec(str(fixtures_dir / f"type{kind}_rep.json"))
 
 
-def error_message(fn, *args):
+def error_message(fn, *args, **kwargs):
     try:
-        fn(*args)
-    except (DomainError, SingularityError, ValueError) as exc:
+        fn(*args, **kwargs)
+    except (AsymmetryError, DomainError, SingularityError, ValueError) as exc:
         return type(exc), str(exc)
     return None
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (AsymmetryError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def edge_model(d: int, m: int, seed: int, defect: float) -> HerglotzModel:
+    """A Haar model whose U has ||U*U - I|| = defect * UNITARITY_TOL, its
+    columns stretched and shrunk in turn."""
+    model = haar_model(d, m, seed)
+    signs = (-1.0) ** np.arange(d * m)
+    return HerglotzModel(d=d, m=m, U=model.U * np.sqrt(1 + signs * defect * UNITARITY_TOL), v=model.v)
+
+
+def edge_point(d: int, n: int, seed: int) -> MatrixTuple:
+    """Coordinates of norm 1 - CONTRACTION_MARGIN, each as close to it as the
+    contraction gate admits."""
+    limit = 1.0 - CONTRACTION_MARGIN
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    X *= (limit / np.maximum(spectral_norms(X), 1e-300))[:, None, None]
+    while (over := spectral_norms(X) > limit).any():
+        X[over] *= 1 - 2**-52
+    return MatrixTuple(X)
+
+
+def oracle_pencils(model: HerglotzModel, X: MatrixTuple) -> dict:
+    """The pencil each form solves, built from the kron formulas."""
+    D = delta(X, model.m)
+    UI = np.kron(model.U, np.eye(X.n))
+    return {CAYLEY_FORM: np.eye(D.shape[0]) - UI @ D, RESOLVENT_FORM: UI - D}
+
+
+def assert_pencils_within_bound(model: HerglotzModel, X: MatrixTuple) -> None:
+    assert PENCIL_COND_BOUND <= COND_CUTOFF / 1e4
+    if X.n == 0:  # an empty pencil: nothing to condition
+        for form in FORMS:
+            assert eval_herglotz(model, X, form).shape == (0, 0)
+        return
+    for form, L in oracle_pencils(model, X).items():
+        assert la.cond(L) <= PENCIL_COND_BOUND
+        np.testing.assert_array_equal(eval_herglotz(model, X, form), oracle_eval_herglotz(model, X, form))
+
+
+#: multiples of a threshold at which the screen tests place Frobenius norms
+SCREEN_FACTORS = (0.5, 1 - 1e-9, 1 - 1e-15, 1.0, 1 + 1e-15, 1 + 1e-9, 1.2, 2.0)
+
+
+def straddling(limit: float, anti: bool = False) -> list:
+    """Matrices whose Frobenius norm is each of SCREEN_FACTORS times limit,
+    and a 0 x 0 one. At each n = 1..3 there is a random matrix and a multiple
+    of I (of iI when anti, which makes every matrix anti-Hermitian), whose
+    spectral norm is its Frobenius norm over sqrt(n): at n > 1 and the
+    factor 1.2 it is inside limit while the Frobenius norm is outside."""
+    rng = np.random.default_rng(11)
+    out = [np.zeros((0, 0), dtype=np.complex128)]
+    for n in (1, 2, 3):
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for base in (G - G.conj().T, 1j * np.eye(n)) if anti else (G, np.eye(n, dtype=np.complex128)):
+            out += [base * (f * limit / la.norm(base)) for f in SCREEN_FACTORS]
+    return out
 
 
 # -------------------------------------------------------------- evaluations
@@ -326,6 +429,40 @@ def test_cayley_matches_oracle(direction):
             assert_agrees(new, old)
 
 
+# ---------------------------------------------------------- condition bound
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_edge_pencils_within_bound(d):
+    for m in range(1, 7):
+        for defect in (0.0, 0.99):
+            model = edge_model(d, m, seed=17 * d + m, defect=defect)
+            for n in (0, 1, 2, 3):
+                assert_pencils_within_bound(model, edge_point(d, n, seed=100 * d + 10 * m + n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(0, 2**31),
+    st.sampled_from((0.0, 0.5, 0.99)),
+)
+def test_hypothesis_edge_pencils_within_bound(d, m, n, seed, defect):
+    assert_pencils_within_bound(edge_model(d, m, seed, defect), edge_point(d, n, seed))
+
+
+@pytest.mark.parametrize("stretch", [1.0, 1 + 0.99 * UNITARITY_TOL, 1 - 0.99 * UNITARITY_TOL])
+def test_bound_is_nearly_attained(stretch):
+    # U = [sqrt(stretch)] and X = (1 - m) diag(1, -1) put an eigenvalue of
+    # (U (x) I) delta(X) at (1 - m) sqrt(stretch), as close to 1 as the domain allows
+    model = HerglotzModel(d=1, m=1, U=np.array([[np.sqrt(stretch)]]), v=np.array([1.0]))
+    X = MatrixTuple(((1.0 - CONTRACTION_MARGIN) * np.diag([1.0, -1.0]),))
+    assert_pencils_within_bound(model, X)
+    assert max(la.cond(L) for L in oracle_pencils(model, X).values()) >= 0.99 * PENCIL_COND_BOUND
+
+
 # ------------------------------------------------------------------ batches
 
 
@@ -375,16 +512,34 @@ def diagonal_with_condition(c: float) -> np.ndarray:
 CONDITIONS = (0.5e12, 1e12, 2e12, np.inf)
 
 
+#: cond_bound values that prove nothing, so the guard checks the singular values
+UNPROVEN = (None, 2 * COND_CUTOFF, np.inf, np.nan)
+
+
 @pytest.mark.parametrize("c", CONDITIONS)
 def test_guard_verdict_matches_la_cond(c):
     A = diagonal_with_condition(c)
     b = np.ones((2, 1))
-    assert error_message(checked_solve, A, b) == error_message(oracle_checked_solve, A, b)
-    raised = error_message(checked_solve, A, b) is not None
     cond = la.cond(A)
-    assert raised == (not np.isfinite(cond) or cond > COND_CUTOFF)
-    if not raised:
-        np.testing.assert_array_equal(checked_solve(A, b), oracle_checked_solve(A, b))
+    for cond_bound in UNPROVEN:
+        new = error_message(checked_solve, A, b, cond_bound=cond_bound)
+        assert new == error_message(oracle_checked_solve, A, b)
+        raised = new is not None
+        assert raised == (not np.isfinite(cond) or cond > COND_CUTOFF)
+        if not raised:
+            np.testing.assert_array_equal(checked_solve(A, b, cond_bound=cond_bound), oracle_checked_solve(A, b))
+
+
+@pytest.mark.parametrize("cond_bound", [1.0, PENCIL_COND_BOUND, COND_CUTOFF])
+def test_proven_bound_returns_la_solve_bits(cond_bound):
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    B = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    np.testing.assert_array_equal(checked_solve(A, B, "p", cond_bound), la.solve(A, B))
+    np.testing.assert_array_equal(checked_solve(A[0], B, "p", cond_bound), la.solve(A[0], B))
+    # the bound is the caller's proof: the guard takes it and checks nothing
+    past = diagonal_with_condition(2e12)
+    np.testing.assert_array_equal(checked_solve(past, B[:2], "p", cond_bound), la.solve(past, B[:2]))
 
 
 def test_guard_on_zero_matrix_reports_inf_like_la_cond():
@@ -396,12 +551,13 @@ def test_guard_on_zero_matrix_reports_inf_like_la_cond():
 
 def test_stacked_guard_names_first_point_past_cutoff():
     stack = np.array([diagonal_with_condition(c) for c in (0.5e12, 1e12, 2e12, np.inf)])
-    with pytest.raises(SingularityError) as exc:
-        checked_solve(stack, np.ones((2, 1)), "test pencil")
     cond = la.cond(stack[2])
-    assert str(exc.value) == f"test pencil at point 2 has condition number {cond:.3e} > {COND_CUTOFF:g}"
-    with pytest.raises(SingularityError, match=r"^third has condition number inf"):
-        checked_solve(stack[[0, 3]], np.ones((2, 1)), ["first", "third"])
+    for cond_bound in UNPROVEN:
+        with pytest.raises(SingularityError) as exc:
+            checked_solve(stack, np.ones((2, 1)), "test pencil", cond_bound)
+        assert str(exc.value) == f"test pencil at point 2 has condition number {cond:.3e} > {COND_CUTOFF:g}"
+        with pytest.raises(SingularityError, match=r"^third has condition number inf"):
+            checked_solve(stack[[0, 3]], np.ones((2, 1)), ["first", "third"], cond_bound)
 
 
 def test_stacked_guard_solves_every_point():
@@ -433,6 +589,47 @@ def test_contraction_messages_unchanged(form):
     X = MatrixTuple((0.1 * np.eye(2),))
     assert error_message(eval_herglotz, model, X, form) == error_message(oracle_eval_herglotz, model, X, form)
     assert error_message(eval_herglotz, model, X, "pick") == error_message(oracle_eval_herglotz, model, X, "pick")
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_contraction_screen_matches_oracle(form):
+    limit = 1.0 - CONTRACTION_MARGIN
+    model = haar_model(2, 1, seed=3)
+    verdicts = set()
+    for M in straddling(limit):
+        X = MatrixTuple((0.1 * np.eye(len(M)), M))
+        new = error_message(eval_herglotz, model, X, form)
+        assert new == error_message(oracle_require_strict_contractions, X)
+        verdicts.add(new is None)
+        norm = screened_norms(M, limit)
+        assert (norm <= limit) == (spectral_norm(M) <= limit)
+        if norm > limit:
+            assert norm == spectral_norm(M)
+    assert verdicts == {True, False}
+
+
+def test_selfadjoint_screen_matches_oracle():
+    verdicts = set()
+    for c in (0.0, 100.0):
+        for A in straddling(HERMITICITY_RTOL * max(c, 1.0), anti=True):
+            n = len(A)
+            # S - S* is exactly A, and ||S|| is about c
+            S = c * np.eye(n) + A / 2
+            X = MatrixTuple((np.eye(n), S))
+            verdicts.add(X.is_selfadjoint())
+            assert X.is_selfadjoint() == oracle_is_selfadjoint(X)
+    assert verdicts == {True, False}
+
+
+def test_psd_asymmetry_screen_matches_oracle():
+    verdicts = set()
+    for c in (1.0, 100.0):
+        for A in straddling(HERMITICITY_RTOL * c, anti=True):
+            H = c * np.eye(len(A)) + A / 2
+            new = outcome(psd_min_eig, H)
+            assert new == outcome(oracle_psd_min_eig, H)
+            verdicts.add(isinstance(new, PsdReport))
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("kind", [1, 4])
