@@ -169,7 +169,8 @@ def tuple_commands(point: Path) -> list[list[str]]:
     representation over 30 trials of sizes 1-4 (batches of several points
     at each point size 1-5 and 7), the half-plane Cayley
     direction, the three derivative routes in two letters, the resolvent
-    Herglotz form and a kind-4 representation at a two-letter point."""
+    Herglotz form, kind-4 and kind-3 representations at a two-letter point
+    and the kind-3 type probe."""
 
     def fixture(name: str) -> str:
         return str(FIXTURES / f"{name}.json")
@@ -185,6 +186,8 @@ def tuple_commands(point: Path) -> list[list[str]]:
         ),
         ["herglotz-eval", "--model", fixture("moebius_model"), "--point", fixture("half_scalar_point"), "--method", "resolvent"],
         ["rep-eval", "--rep", fixture("type4_rep"), "--point", fixture("pi2_point")],
+        ["rep-eval", "--rep", fixture("type3_rep"), "--point", fixture("pi2_point")],
+        ["rep-classify", "--rep", fixture("type3_rep")],
     ]
 
 

@@ -248,10 +248,10 @@ def checked_solve(
 class PencilScaffold:
     """Mixin for a model evaluated through a linear pencil at n x n points.
 
-    The model lists its constant matrices in pencil_constants (None for an
-    absent one). scaffold(n) returns each of them tensored with I_n, built
-    on first use for that n and then kept on the model object, so the cache
-    lives as long as the model does and no longer.
+    The model lists its constant matrices in pencil_constants. scaffold(n)
+    returns each of them tensored with I_n, built on first use for that n
+    and then kept on the model object, so the cache lives as long as the
+    model does and no longer.
     """
 
     @cached_property
@@ -262,7 +262,7 @@ class PencilScaffold:
         parts = self._scaffolds.get(n)
         if parts is None:
             eye = np.eye(n)
-            parts = tuple(None if C is None else np.kron(C, eye) for C in self.pencil_constants)
+            parts = tuple(np.kron(C, eye) for C in self.pencil_constants)
             self._scaffolds[n] = parts
         return parts
 

@@ -18,23 +18,24 @@ A), so a kind-3 built function classifies as type 2. The classifier takes
 the lowest-numbered criterion that its three-point limit heuristic accepts
 and always ships the raw sequences so a caller can re-decide.
 
-Every kind is a linear-pencil resolvent h(Z) = a I + (l (x) I) L(Z)^{-1} R
-with L(Z) = A_0 (x) I_n + sum_i A_i (x) Z_i. With
-delta(Z) = sum_i Y_i (x) Z_i (P_i for kind 4):
+Every kind is a linear-pencil resolvent h(Z) = a I + (l (x) I) L(Z)^{-1} R(Z)
+with L(Z) = A_0 (x) I_n - sum_i C_i (x) Z_i and R(Z) = r (x) I_n +
+sum_i G_i (x) Z_i. The kinds differ only in (A_0, C_i, l, r, G_i):
 
-    kinds 1, 2:  A_0 = A, A_i = -Y_i; l = v*, R = v (x) I;
-    kind 3:      A_0 = A, A_i = -Y_i; with B = I - iA, l = v* B and
-                 R = (I + delta(Z)(A (x) I))(B^{-1} v (x) I);
-    kind 4:      A_0 = D1 = I_N (+) A, A_i = -P_i E_K with E_K the
-                 projection onto K; with T = -i I_N (+) (I - iA), l = v* T
-                 and R = (delta(Z)(D1 (x) I) + E_K (x) I)(T^{-1} v (x) I).
+    kinds 1, 2:  (A, Y_i, v*, v), no G;
+    kind 4:      (D1, P_i E_K, v* T, E_K T^{-1} v, P_i D1 T^{-1} v), with
+                 D1 = I_N (+) A, T = -i I_N (+) (I - iA), E_K onto K;
+    kind 3:      the empty-N case of kind 4: T = I - iA, D1 = A, E_K = I.
 
-Kind 3 is the empty-N case of the kind-4 constants: with dimN = 0, T is B
-and D1 is A, and kind 3 has no E_K. T, D1, E_K and the two vectors are
-computed once per spec, and their tensor products with I_n once per spec
-and per n (PencilScaffold). A batch of same-size points is one stack of
-pencils and one guarded solve (eval_representation_batch);
-eval_representation is a batch of one.
+The terms come from delta(Z)(E_K (x) I) = sum_i (P_i E_K) (x) Z_i and
+delta(Z)(D1 (x) I)(w (x) I) = sum_i (P_i D1 w) (x) Z_i (Y_i for P_i in
+kind 3), so no term is added and then subtracted. Kind 3 keeps these
+constants: its kind-2 form (a - v*Av, (I + iA) v) cancels terms of size
+||A|| (1e-12 relative at ||A|| = 1e4, 5e-8 at 1e9). The constants and the
+stack [C_i | G_i] are computed once per spec, so one pencil_terms call gives
+both sums, and the constants' tensor products with I_n once per spec and
+per n (PencilScaffold). A batch of same-size points is one guarded stacked
+solve (eval_representation_batch); eval_representation is a batch of one.
 """
 
 from __future__ import annotations
@@ -166,15 +167,13 @@ class RepresentationSpec(PencilScaffold):
         return self.Y if self.Y is not None else self.P
 
     @cached_property
-    def _decomposition_stack(self) -> np.ndarray:
-        return np.array(self.decomposition)
-
-    @cached_property
-    def pencil_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """(A_0, left row, right column, E_K) of the kind's resolvent, once per spec."""
+    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(A_0, l, r, [C | G]) of the kind's resolvent, once per spec: the
+        (d, m, m) stack C, with G as one more column for kinds 3 and 4."""
+        C = np.array(self.decomposition)
         if self.kind in (1, 2):
-            return self.A, self.v.conj().reshape(1, -1), self.v.reshape(-1, 1), None
-        # kind 3 is kind 4 with an empty N block and no E_K
+            return self.A, self.v.conj().reshape(1, -1), self.v.reshape(-1, 1), C
+        # kind 3 is kind 4 with an empty N block
         nN = self.dimN or 0
         T = np.zeros((self.m, self.m), dtype=np.complex128)
         T[:nN, :nN] = -1j * np.eye(nN)
@@ -182,13 +181,17 @@ class RepresentationSpec(PencilScaffold):
         D1 = np.zeros((self.m, self.m), dtype=np.complex128)
         D1[:nN, :nN] = np.eye(nN)
         D1[nN:, nN:] = self.A
-        EK = None
-        if self.kind == 4:
-            EK = np.zeros((self.m, self.m), dtype=np.complex128)
-            EK[nN:, nN:] = np.eye(self.m - nN)
         label = "kind-3 constant I - iA" if self.kind == 3 else "kind-4 constant T = -iI (+) (I - iA)"
-        T_inv_v = checked_solve(T, self.v, label)
-        return D1, (self.v.conj() @ T).reshape(1, -1), T_inv_v.reshape(-1, 1), EK
+        w = checked_solve(T, self.v, label)
+        G = (C @ (D1 @ w))[..., None]  # P_i D1 T^{-1} v
+        C[..., :nN] = 0  # P_i E_K
+        w[:nN] = 0  # E_K T^{-1} v
+        return D1, (self.v.conj() @ T).reshape(1, -1), w.reshape(-1, 1), np.concatenate((C, G), axis=2)
+
+    @property
+    def pencil_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A_0, l, r), the constants that scaffold(n) tensors with I_n."""
+        return self.pencil[:3]
 
 
 def _require_half_plane(Zs: np.ndarray) -> None:
@@ -209,23 +212,20 @@ def eval_representation(spec: RepresentationSpec, Z: MatrixTuple) -> np.ndarray:
 def eval_representation_batch(spec: RepresentationSpec, points: Sequence[MatrixTuple]) -> np.ndarray:
     """Evaluate the structured resolvent at same-size points of Pi^d, (P, n, n).
 
-    One pencil per point over the spec's cached scaffold, one guarded
-    stacked solve.
+    L(Z) and R(Z) per point from one pencil_terms call over the spec's
+    coefficient stack and its cached scaffold, one guarded stacked solve.
     """
     Zs = stack_points(points)
     _require_half_plane(Zs)
     if Zs.shape[1] != spec.d:
         raise ValueError(f"Z has {Zs.shape[1]} coordinates, the decomposition has {spec.d}")
     n = Zs.shape[-1]
-    A0, v_row, v_col, EK = spec.scaffold(n)
-    delta = pencil_terms(spec._decomposition_stack, Zs)
-    if spec.kind in (1, 2):
-        sol = checked_solve(A0 - delta, v_col, "structured resolvent")
-    elif spec.kind == 3:
-        sol = checked_solve(A0 - delta, v_col + delta @ A0 @ v_col, "structured resolvent")
-    else:
-        sol = checked_solve(A0 - delta @ EK, (delta @ A0 + EK) @ v_col, "structured resolvent")
-    return spec.a * np.eye(n) + v_row @ sol
+    A0, l_row, r_col = spec.scaffold(n)
+    N = A0.shape[-1]
+    terms = pencil_terms(spec.pencil[3], Zs)  # [sum C_i (x) Z_i | sum G_i (x) Z_i]
+    R = r_col if terms.shape[-1] == N else r_col + terms[..., N:]
+    sol = checked_solve(A0 - terms[..., :N], R, "structured resolvent")
+    return spec.a * np.eye(n) + l_row @ sol
 
 
 def representation_evaluator(spec: RepresentationSpec) -> Callable[[MatrixTuple], np.ndarray]:

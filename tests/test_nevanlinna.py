@@ -246,17 +246,25 @@ def test_spec_rejection_messages(base, change, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("fixture", ["type3_rep", "type4_rep", None], ids=["type3", "type4", "type4-dimN0"])
+@pytest.mark.parametrize(
+    "fixture", ["type2_rep", "type3_rep", "type4_rep", None], ids=["type2", "type3", "type4", "type4-dimN0"]
+)
 def test_pencil_constants_match_formulas_bit_for_bit(fixture, fixtures_dir):
+    # (A_0, l, r, C, G) with L(Z) = A_0 (x) I - sum C_i (x) Z_i and R(Z) = r (x) I + sum G_i (x) Z_i;
+    # the spec holds C and G as one stack [C | G], and kinds 1 and 2 have no G column
     if fixture is None:
         A = np.array([[0.5, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.7]])
         spec = RepresentationSpec(**dict(P_BASE, A=A, dimN=0))
     else:
         spec = parse_spec(str(fixtures_dir / f"{fixture}.json"))
     m, A, v = spec.m, spec.A, spec.v
-    if spec.kind == 3:
+    stack = np.array(spec.decomposition)
+    if spec.kind == 2:
+        expected = (A, v.conj().reshape(1, -1), v.reshape(-1, 1), stack, None)
+    elif spec.kind == 3:
         B = np.eye(m) - 1j * A
-        expected = (A, (v.conj() @ B).reshape(1, -1), np.linalg.solve(B, v).reshape(-1, 1), None)
+        w = np.linalg.solve(B, v)
+        expected = (A, (v.conj() @ B).reshape(1, -1), w.reshape(-1, 1), stack, (stack @ (A @ w))[..., None])
     else:
         nN = spec.dimN
         T = np.zeros((m, m), dtype=np.complex128)
@@ -267,14 +275,54 @@ def test_pencil_constants_match_formulas_bit_for_bit(fixture, fixtures_dir):
         D1[nN:, nN:] = A
         EK = np.zeros((m, m), dtype=np.complex128)
         EK[nN:, nN:] = np.eye(m - nN)
-        expected = (D1, (v.conj() @ T).reshape(1, -1), np.linalg.solve(T, v).reshape(-1, 1), EK)
-    got = spec.pencil_constants
-    assert len(got) == 4
+        w = np.linalg.solve(T, v)
+        expected = (D1, (v.conj() @ T).reshape(1, -1), (EK @ w).reshape(-1, 1), stack @ EK, (stack @ (D1 @ w))[..., None])
+    A0, l, r, CG = spec.pencil
+    assert spec.pencil_constants == (A0, l, r) and CG.shape[:2] == (spec.d, m) and CG.shape[2] in (m, m + 1)
+    got = (A0, l, r, CG[..., :m], CG[..., m:] if CG.shape[2] > m else None)
     for g, e in zip(got, expected):
         if e is None:
             assert g is None
         else:
-            assert g.dtype == np.complex128 and np.array_equal(g, e)
+            assert g.dtype == np.complex128 and g.shape == e.shape and np.array_equal(g, e)
+
+
+def closed_form(a: float, lam, weights, v, z, nN: int) -> complex:
+    """h at a scalar point z of a diagonal representation, in plain complex arithmetic.
+
+    Coordinate j of C^m sees zeta_j = sum_i y_ij z_i. The N block (the first
+    nN coordinates) contributes |v_j|^2 zeta_j, and the K block, where
+    A = diag(lam), contributes |v_j|^2 (1 + zeta_j lam_j) / (lam_j - zeta_j).
+    """
+    zeta = [sum(y * zi for y, zi in zip(row, z)) for row in weights]
+    h = complex(a)
+    for j, vj in enumerate(v):
+        if j < nN:
+            h += abs(vj) ** 2 * zeta[j]
+        else:
+            lj = lam[j - nN]
+            h += abs(vj) ** 2 * (1 + zeta[j] * lj) / (lj - zeta[j])
+    return h
+
+
+@pytest.mark.parametrize("kind", [3, 4])
+@pytest.mark.parametrize("norm", [1.0, 1e2, 1e4, 1e6, 1e9])
+def test_kinds_3_and_4_match_the_diagonal_closed_form(kind, norm):
+    # rewriting kind 3 as kind 2 with (a - v*Av, (I + iA) v) cancels terms of size ||A||:
+    # 1.3e-14 relative at ||A|| = 1e2 and 5.0e-8 at 1e9 on these specs, past the tolerance here
+    lam = (norm, -norm / 3, 0.5)
+    if kind == 3:
+        weights = ((0.3, 0.7), (1.0, 0.0), (0.0, 1.0))
+        v = (0.6, 0.48j, 0.64)
+        spec = RepresentationSpec(kind=3, a=0.25, m=3, A=np.diag(lam), v=v, Y=tuple(map(np.diag, zip(*weights))))
+    else:  # coordinate projections, the N block is coordinate 1 of C^4
+        weights = ((1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+        v = (0.5, 0.5j, -0.5, 0.5)
+        spec = RepresentationSpec(kind=4, a=0.25, m=4, A=np.diag(lam), v=v, P=tuple(map(np.diag, zip(*weights))), dimN=1)
+    for z in ((0.3 + 0.9j, -1.2 + 0.4j), (2.0 + 0.01j, 0.5 + 3.0j), (-0.7 + 1e-3j, 1e-2 + 1e2j)):
+        exact = closed_form(0.25, lam, weights, v, z, kind - 3)
+        got = complex(eval_representation(spec, MatrixTuple(np.reshape(z, (2, 1, 1))))[0, 0])
+        assert abs(got - exact) <= 1e-14 * abs(exact)
 
 
 def test_ill_conditioned_kind3_constant_is_refused():

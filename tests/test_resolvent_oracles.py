@@ -7,7 +7,10 @@ the per-point kron formulas they replace: delta and delta_Y assembled from
 np.kron blocks, every A (x) I_n rebuilt per call, the Cayley transform one
 coordinate at a time, and checked_solve guarded by numpy.linalg.cond. The
 two routes form the same products in the same order, so they agree to RTOL
-(in practice bit for bit), and their errors carry the same messages.
+(in practice bit for bit), and their errors carry the same messages. The
+exception is kinds 3 and 4 of eval_representation: they form L(Z) and R(Z)
+from coefficient stacks where the oracle multiplies by delta(Z), so they
+agree to RTOL by rounding.
 
 The Herglotz pencils skip the singular values on the strength of
 PENCIL_COND_BOUND, so its tests draw models and points on the edge of the
@@ -499,7 +502,18 @@ def test_pick_positivity_reports_equal_oracle_loop(fixtures_dir, kind):
     spec = fixture_spec(fixtures_dir, kind)
     for samples, seed, levels in ((100, 0, (1, 2, 3)), (17, 5, (2, 1)), (4, 9, (3,)), (5, 1, (1, 2, 1, 3))):
         new = pick_positivity_check(spec, samples=samples, seed=seed, levels=levels)
-        assert new == oracle_pick_positivity_check(spec, samples=samples, seed=seed, levels=levels)
+        old = oracle_pick_positivity_check(spec, samples=samples, seed=seed, levels=levels)
+        if kind in (1, 2):
+            assert new == old
+        else:
+            # kinds 3 and 4 form R(Z) from coefficient stacks, the oracle from delta(Z) products, so
+            # h moves by rounding (assert_agrees' RTOL of its largest entry) and Im h's eigenvalues
+            # by no more than Im h does (Weyl)
+            assert (new.samples, new.levels, new.tol) == (old.samples, old.levels, old.tol)
+            sizes = (levels[t % len(levels)] for t in range(samples))
+            points = (sample("pi_point", n, spec.d, seed + 104729 * t) for t, n in enumerate(sizes))
+            scale = max(float(np.abs(oracle_eval_representation(spec, Z)).max()) for Z in points)
+            assert abs(new.min_imag_eig - old.min_imag_eig) <= RTOL * scale
 
 
 # -------------------------------------------------------------------- guard

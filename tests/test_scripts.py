@@ -54,7 +54,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "39 of 39 commands identical"
+    assert lines[-1] == "41 of 41 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 2
 
 
@@ -127,6 +127,8 @@ def test_compare_reports_runs_the_tuple_commands(tmp_path):
         "deriv --series d2res_series --point generic_point --direction pi2_point --method fd",
         "herglotz-eval --model moebius_model --point half_scalar_point --method resolvent",
         "rep-eval --rep type4_rep --point pi2_point",
+        "rep-eval --rep type3_rep --point pi2_point",
+        "rep-classify --rep type3_rep",
     ]
     assert all(pathlib.Path(a).is_file() for argv in commands for a in argv if a.startswith(str(ROOT)))
     rejected = tuple(tmp_path / f"{name}.json" for name in module.REJECTED_SERIES)
@@ -196,7 +198,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "37 of 39 commands identical"
+    assert out.splitlines()[-1] == "39 of 41 commands identical"
 
 
 WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
@@ -235,7 +237,7 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     assert module.main() == (verdict != "same")
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
-    assert lines[-1] == f"{39 if verdict == 'same' else 0} of 39 commands identical"
+    assert lines[-1] == f"{41 if verdict == 'same' else 0} of 41 commands identical"
 
 
 def test_compare_reports_child_runs_each_command_as_a_fresh_process():
