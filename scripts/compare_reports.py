@@ -11,10 +11,12 @@ a schema error), the tuple commands of `tuple_commands`, `interpolate`
 at a generic two-letter point and the five commands of `edge_commands`
 (the sparse series where its report has exact zeros, two series whose
 header the constructor refuses, and eval and monotone on a real-free
-series of degree 70) run once per tree. Each tree's commands run in one
-child interpreter with PYTHONPATH set to that tree and one BLAS thread,
-which calls `freepick.cli.main` once per command. Each command runs in a
-fresh working directory of its own and writes its report with --out to
+series of degree 70) run once per tree, as do `interpolate` and the
+localizing `deriv` of d2res at a generated 3 x 3 two-letter point. Each
+tree's commands run in one child interpreter with PYTHONPATH set to that
+tree and one BLAS thread, which calls `freepick.cli.main` once per
+command. Each command runs in a fresh working directory of its own and
+writes its report with --out to
 report.json there, so the argv is the same for both trees. Its stdout and
 stderr are captured, its exit code is main's return value or the code of
 the SystemExit it raised, and it runs inside `warnings.catch_warnings()`,
@@ -57,6 +59,26 @@ GENERIC_POINT = {
     ],
 }
 GENERIC_TARGET = [[1.0, [0.3, -0.2]], [-0.5, [0.7, 0.1]]]
+
+
+def generated_matrix(n: int, phase: int, scale: float) -> list:
+    """An n x n matrix of [re, im] entries, each part scale times a sine or
+    cosine of the entry's position, rounded to four places."""
+    return [
+        [[round(scale * math.sin(phase + 3 * i + 7 * j + 1), 4), round(scale * math.cos(2 * phase + 5 * i + 2 * j), 4)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+# a generated 3 x 3 two-letter point, a direction and an interpolation
+# target, for a size that neither the fixtures nor the generic point reach.
+# The point's norms (about 1.6) keep the degree-4 kernel Gram well
+# conditioned (about 33), so the interpolant moves only as far as the
+# monomial stack's own rounding; the localizing deriv there warns that the
+# point is off the small polydisk
+WIDE_POINT = {"d": 2, "n": 3, "matrices": [generated_matrix(3, k, 0.7) for k in (1, 2)]}
+WIDE_DIRECTION = {"d": 2, "n": 3, "matrices": [generated_matrix(3, k, 0.5) for k in (3, 4)]}
+WIDE_TARGET = generated_matrix(3, 5, 1.0)
 
 # a sparse two-letter series: the x_1 block of its level 3 reaches only half
 # the level above, so the Horner pass starts that level at +0.0 with -0.0 at
@@ -270,17 +292,28 @@ def main() -> int:
             **REJECTED_SERIES,
             **HEADER_REJECTED_SERIES,
             "deep_series": DEEP_SERIES,
+            "wide_point": WIDE_POINT,
+            "wide_direction": WIDE_DIRECTION,
+            "wide_target": WIDE_TARGET,
         }
         for name, data in files.items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
-        point, target, sparse, diagonal, deep = (
+        point, target, sparse, diagonal, deep, wide, wide_direction, wide_target = (
             Path(tmp) / f"{name}.json"
-            for name in ("generic_point", "generic_target", "sparse_series", "diagonal_point", "deep_series")
+            for name in (
+                "generic_point", "generic_target", "sparse_series", "diagonal_point", "deep_series",
+                "wide_point", "wide_direction", "wide_target",
+            )
         )
         rejected = tuple(Path(tmp) / f"{name}.json" for name in REJECTED_SERIES)
         header_rejected = tuple(Path(tmp) / f"{name}.json" for name in HEADER_REJECTED_SERIES)
         commands = readme_commands() + series_commands(point, sparse, rejected) + tuple_commands(point)
         commands.append(["interpolate", "--point", str(point), "--direction", str(target), "--degree", "5"])
+        commands.append(["interpolate", "--point", str(wide), "--direction", str(wide_target), "--degree", "4"])
+        commands.append(
+            ["deriv", "--series", str(FIXTURES / "d2res_series.json"), "--point", str(wide),
+             "--direction", str(wide_direction), "--method", "localizing"]
+        )
         commands += edge_commands(point, sparse, diagonal, header_rejected, deep)
         differ = 0
         runs = [run_tree(src, commands) for src in trees]

@@ -21,7 +21,7 @@ import numpy.linalg as la
 
 from . import words as W
 from .matcore import InfeasibleError, MatrixTuple, as_complex_matrix, hermitianize
-from .series import FreeSeries, eval_series
+from .series import FreeSeries, _value_at
 
 GRAM_RANK_RTOL = 1e-12
 FEASIBILITY_RTOL = 1e-8
@@ -95,7 +95,7 @@ def reproduce_check(frame: SzegoFrame, f: FreeSeries) -> float:
     """Max |<f, k^{ij}> - f(X)_{ij}|; float noise for degree <= L."""
     c = _coefficient_vector(frame, f)
     via_kernels = (frame.K.conj().T @ c).reshape(frame.X.n, frame.X.n)
-    direct = eval_series(f, frame.X).value
+    direct = _value_at(f, frame.X)
     return float(np.max(np.abs(via_kernels - direct)))
 
 

@@ -33,8 +33,8 @@ from .matcore import (
 )
 from .series import (
     FreeSeries,
+    _value_at,
     derivative,
-    eval_series,
     localizing_matrix,
     pencil_contraction,
     require_real_free,
@@ -254,7 +254,7 @@ def sample_monotone_test(f: FreeSeries, n: int, trials: int = 100, seed: int = 0
         P = sample("psd_direction", n, f.d, seed + 31 * t + 1)
         eps = 0.1 * radius / max(P.max_norm(), 1e-30)
         Y = MatrixTuple(X.mats + eps * P.mats)
-        gap = eval_series(f, Y).value - eval_series(f, X).value
+        gap = _value_at(f, Y) - _value_at(f, X)
         rep_gap = psd_min_eig(hermitianize(gap))
         H = sample("psd_direction", n, f.d, seed + 31 * t + 2)
         D = derivative(f, X, H, method="block")

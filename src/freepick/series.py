@@ -428,15 +428,18 @@ def _horner(f: FreeSeries, points: np.ndarray, rows: int) -> np.ndarray:
     return U
 
 
-def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
-    """f(X) = sum_{|I| <= degree} c_I X^I with the geometric tail bound.
-
-    The value is the stacked Horner pass of :func:`eval_series_batch` at a
-    stack of one point.
-    """
+def _value_at(f: FreeSeries, X: MatrixTuple) -> np.ndarray:
+    """f(X) without its tail bound, so without the SVD of X the bound takes:
+    the stacked Horner pass of :func:`eval_series_batch` at a stack of one
+    point. Callers that read only the value use this."""
     if f.d != X.d:
         raise ValueError(f"series in {f.d} letters evaluated at a {X.d}-tuple")
-    return EvalResult(value=_horner(f, X.mats[None], X.n)[0], tail_bound=tail_bound(f, X))
+    return _horner(f, X.mats[None], X.n)[0]
+
+
+def eval_series(f: FreeSeries, X: MatrixTuple) -> EvalResult:
+    """f(X) = sum_{|I| <= degree} c_I X^I with the geometric tail bound."""
+    return EvalResult(value=_value_at(f, X), tail_bound=tail_bound(f, X))
 
 
 def eval_series_batch(f: FreeSeries, points: Sequence[MatrixTuple]) -> np.ndarray:
@@ -494,12 +497,13 @@ def pencil_contraction(f: FreeSeries, X: MatrixTuple) -> tuple[np.ndarray, np.nd
     split list is scattered into that staircase of dense (d^a, width_a)
     blocks, one per letter and level; the d blocks of a level are stacked
     letter-major and make one GEMM against the first width_a monomials.
-    left is the monomial stack at the transposed tuple, since
-    X^{I*} = ((X^T)^I)^T.
+    left is read straight from the builder behind the monomial stack:
+    :func:`words.reversed_stack` at X, one GEMM per letter per level, with
+    no transposed tuple and no swap copy.
     """
     order = W.enumerate_words(X.d, max(f.degree - 1, 0))
     stack = W.monomial_stack(X, order)
-    left = np.ascontiguousarray(W.monomial_stack(MatrixTuple(X.mats.swapaxes(1, 2)), order).swapaxes(1, 2))
+    left = W.reversed_stack(X, order)
     d, n, levels = X.d, X.n, range(order.degree + 1)
     first = np.array([W.word_count(d, a - 1) for a in levels])
     rows = np.array([d**a for a in levels])
@@ -613,7 +617,7 @@ def check_identity(f: FreeSeries, kind: str, X: MatrixTuple, aux, tol: float = 1
             raise ValueError(f"aux matrix must be {n} x {n}, got {A.shape}")
         H = MatrixTuple(1j * (A @ X.mats - X.mats @ A))
         lhs = derivative(f, X, H)
-        fX = eval_series(f, X).value
+        fX = _value_at(f, X)
         rhs = 1j * (A @ fX - fX @ A)
     elif kind == DIRECT_SUM_DERIVATIVE:
         Y = aux
@@ -623,7 +627,7 @@ def check_identity(f: FreeSeries, kind: str, X: MatrixTuple, aux, tol: float = 1
         corner[:, :n, n:] = corner[:, n:, :n] = X.mats - Y.mats
         lhs = derivative(f, direct_sum(X, Y), MatrixTuple(corner))
         rhs = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        rhs[:n, n:] = rhs[n:, :n] = eval_series(f, X).value - eval_series(f, Y).value
+        rhs[:n, n:] = rhs[n:, :n] = _value_at(f, X) - _value_at(f, Y)
     elif kind == TENSOR_DERIVATIVE:
         A, B = aux
         if not isinstance(A, MatrixTuple) or A.d != X.d or A.n != X.n:
@@ -868,7 +872,7 @@ def series_evaluator(f: FreeSeries) -> Callable[[MatrixTuple], np.ndarray]:
     attribute evaluates same-size points with one eval_series_batch."""
 
     def ev(X: MatrixTuple) -> np.ndarray:
-        return eval_series(f, X).value
+        return _value_at(f, X)
 
     ev.batch = lambda points: eval_series_batch(f, points)
     return ev

@@ -14,6 +14,11 @@ from :func:`enumerate_words` holds more than WORD_BUDGET words, so positions
 are only computed for words of length <= max_degree(d, WORD_BUDGET); a
 longer word reads WORD_BUDGET, which indexes no order. Keys are int64 and
 never overflow, whatever the degree.
+
+:func:`monomial_stack` is the one routine that stacks the values X^I of an
+order, and :func:`reversed_stack` the values X^{I*}. Both are built level by
+level with one GEMM per letter per level: all words of a level times one
+letter form a single tall product, written into one preallocated stack.
 """
 
 from __future__ import annotations
@@ -152,20 +157,50 @@ def check_alphabet(w: Word, d: int) -> None:
             raise ValueError(f"letter {letter} in word {list(w)} is outside 1..{d}")
 
 
+def _reversed_levels(mats: np.ndarray, order: WordOrder) -> np.ndarray:
+    """mats^{I*} for every word I of the order, as a (count, n, n) array.
+
+    Graded-lex order lists the words of length l + 1 as x_k w, k major, and
+    mats^{(x_k w)*} = mats^{w*} mats_k. So the m words of length l are one
+    (m n, n) operand, and for each letter k one GEMM writes its products
+    with mats_k into the level's k-th run of the preallocated stack: d GEMMs
+    per level, not one small GEMM per word.
+    """
+    d, n = mats.shape[:2]
+    out = np.empty((len(order), n, n), dtype=np.complex128)
+    out[0] = np.eye(n)
+    start, m = 0, 1  # the first position and the count of the words one shorter
+    for _ in range(order.degree):
+        above = out[start : start + m].reshape(m * n, n)
+        for k in range(d):
+            run = start + m * (1 + k)
+            np.matmul(above, mats[k], out=out[run : run + m].reshape(m * n, n))
+        start, m = start + m, d * m
+    return out
+
+
+def _check_order(X: MatrixTuple, order: WordOrder) -> None:
+    if X.d != order.d:
+        raise ValueError(f"word order in {order.d} letters evaluated at a {X.d}-tuple")
+
+
+def reversed_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
+    """X^{I*} for every word I of the order, as a (count, n, n) array,
+    built with one GEMM per letter per level."""
+    _check_order(X, order)
+    return _reversed_levels(X.mats, order)
+
+
 def monomial_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
     """X^I for every word I of the order, as a (count, n, n) array.
 
-    Graded-lex order lists the words of length l + 1 as x_k w, k major, so
-    each level is one batched product X_k @ X^w over all letters k and all
-    words w one shorter.
+    X^I = ((X^T)^{I*})^T, so this is the one-GEMM-per-letter-per-level
+    build of :func:`reversed_stack` at the transposed tuple, with each
+    matrix transposed back by one contiguous copy.
     """
-    if X.d != order.d:
-        raise ValueError(f"word order in {order.d} letters evaluated at a {X.d}-tuple")
-    mats = X.mats[:, None]
-    levels = [np.eye(X.n, dtype=np.complex128)[None]]
-    for _ in range(order.degree):
-        levels.append((mats @ levels[-1]).reshape(X.d * len(levels[-1]), X.n, X.n))
-    return np.concatenate(levels)
+    _check_order(X, order)
+    transposed = np.ascontiguousarray(X.mats.swapaxes(1, 2))
+    return np.ascontiguousarray(_reversed_levels(transposed, order).swapaxes(1, 2))
 
 
 # no library caller; kept because perfbench/spans.py traces it by name

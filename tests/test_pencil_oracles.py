@@ -956,6 +956,22 @@ def test_pencil_at_size_zero(x3_series, halfres_series, d2res_series):
         assert derivative(f, X, X, method="localizing").dtype == np.complex128
 
 
+@pytest.mark.parametrize(
+    ("d", "degree", "n"),
+    [(1, 0, 2), (2, 1, 3), (1, 6, 2), (3, 4, 1), (1, 3, 1), (2, 5, 3), (3, 3, 4)],
+)
+def test_pencil_left_is_the_stack_at_the_transpose(d, degree, n):
+    # left is built as monomial_stack builds its stack at X^T, so each
+    # X^{I*} is ((X^T)^I)^T bit for bit; degree <= 1 is the order of length 0
+    rng = np.random.default_rng(10 * d + degree)
+    f, X = random_dense(d, degree, rng), general_tuple(n, d, rng)
+    order = enumerate_words(d, max(degree - 1, 0))
+    left, T = pencil_contraction(f, X)
+    want = words.monomial_stack(MatrixTuple(X.mats.swapaxes(1, 2)), order).swapaxes(1, 2)
+    assert left.shape == want.shape == (len(order), n, n) and T.shape == (d, len(order), n, n)
+    assert np.array_equal(left, want)
+
+
 def test_localizing_routes_build_no_pencil(halfres_series, d2res_series, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the count x count localizing pencil was built")

@@ -54,8 +54,10 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "41 of 41 commands identical"
-    assert sum(line.startswith("same: interpolate ") for line in lines) == 2
+    assert lines[-1] == "43 of 43 commands identical"
+    assert sum(line.startswith("same: interpolate ") for line in lines) == 3
+    wide = "--point wide_point.json --direction wide_direction.json --method localizing (exit 0/0)"
+    assert f"same: deriv --series d2res_series.json {wide}" in lines
 
 
 def test_compare_reports_reads_every_readme_example():
@@ -198,7 +200,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "39 of 41 commands identical"
+    assert out.splitlines()[-1] == "41 of 43 commands identical"
 
 
 WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
@@ -237,7 +239,7 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     assert module.main() == (verdict != "same")
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
-    assert lines[-1] == f"{41 if verdict == 'same' else 0} of 41 commands identical"
+    assert lines[-1] == f"{43 if verdict == 'same' else 0} of 43 commands identical"
 
 
 def test_compare_reports_child_runs_each_command_as_a_fresh_process():

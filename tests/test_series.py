@@ -208,6 +208,41 @@ def test_tail_bound_infinite_outside_radius(halfres_series):
     assert eval_series(halfres_series, scalar(2.5)).tail_bound == float("inf")
 
 
+def test_value_only_callers_take_no_tail_bound(d2res_series, monkeypatch):
+    # the tail bound's SVD (MatrixTuple.max_norm) is skipped wherever the
+    # bound is not read, and every value stays bit for bit what it was
+    from freepick.hardy import reproduce_check, szego_kernels
+    from freepick.monotone import sample_monotone_test
+
+    f = d2res_series
+    X = MatrixTuple(0.1 * sample("hermitian_tuple", 2, 2, seed=3).mats)
+    Y = MatrixTuple(0.1 * sample("hermitian_tuple", 2, 2, seed=4).mats)
+    A = sample("hermitian_tuple", 2, 1, seed=5).mats[0]
+    aux = {COMMUTATOR: A, DIRECT_SUM_DERIVATIVE: Y, TENSOR_DERIVATIVE: (Y, np.diag([1.0, 2.0]))}
+    frame = szego_kernels(X, f.degree)
+
+    def run():
+        return (
+            series_evaluator(f)(X),
+            [check_identity(f, kind, X, a) for kind, a in aux.items()],
+            reproduce_check(frame, f),
+            sample_monotone_test(f, 2, trials=4, seed=1),
+        )
+
+    want = run()
+    assert np.array_equal(want[0], eval_series(f, X).value)
+    # sample_monotone_test reads one perturbation radius per trial, no more
+    norm, radii = MatrixTuple.max_norm, []
+
+    def counted(P):
+        radii.append(P)
+        return norm(P)
+
+    monkeypatch.setattr(MatrixTuple, "max_norm", counted)
+    got = run()
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:] and len(radii) == 4
+
+
 def test_tail_bound_dominates_partial_tails():
     full = {(1,) * n: 2.0 ** (-(n + 1)) for n in range(13)}
     low = FreeSeries(d=1, degree=6, coeffs={w: c for w, c in full.items() if len(w) <= 6}, decay_rate=2.0)

@@ -16,6 +16,7 @@ from freepick.words import (
     max_degree,
     monomial_stack,
     reversed_letters,
+    reversed_stack,
     suffix_positions,
     word_count,
 )
@@ -234,22 +235,71 @@ def test_eval_word_alphabet_mismatch():
         eval_words(X, [(2,)])
 
 
+def oracle_monomial_stack(X: MatrixTuple, order) -> np.ndarray:
+    """X^I by one broadcast product X_k @ X^w per level: numpy makes one
+    n x n GEMM per word, so every value rounds as eval_words rounds it."""
+    mats = X.mats[:, None]
+    levels = [np.eye(X.n, dtype=np.complex128)[None]]
+    for _ in range(order.degree):
+        levels.append((mats @ levels[-1]).reshape(X.d * len(levels[-1]), X.n, X.n))
+    return np.concatenate(levels)
+
+
+# 4 sqrt(2): twice (two computed stacks) sqrt(2) (complex modulus), see below
+STACK_ROUNDING = 4 * np.sqrt(2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=4),
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_monomial_stack_equals_suffix_sharing_values(d, L, n, seed):
+def test_monomial_stack_within_rounding_of_the_word_oracles(d, L, n, seed):
+    """The stack equals eval_words and the broadcast oracle within
+    c |w| (n + 2) u (|X|^w) entrywise, u = 2^-53 and |X| the entrywise absolute tuple.
+
+    The stack multiplies the words of a level by one letter in one tall GEMM,
+    the oracles one n x n GEMM per word, so the sums of each entry run in
+    other orders. Higham (Accuracy and Stability of Numerical Algorithms,
+    ch. 3): the real and imaginary parts of an entry of a complex product AB
+    are real inner products of length 2n, so in any order, with or without
+    fused multiply-adds, each is within gamma_2n of its sum of absolute
+    terms, and the modulus of the error is within sqrt(2) gamma_2n (|A||B|)
+    with gamma_k = k u / (1 - k u). The first product of a word is with I and
+    exact, so a word of length l is l - 1 such products, and by induction its
+    computed value is within ((1 + sqrt(2) gamma_2n)^(l - 1) - 1) |X|^w of
+    the exact one. Two computed stacks are apart by at most twice that, to
+    first order 4 sqrt(2) (l - 1) n u |X|^w, and (l - 1) n <= l (n + 2) leaves
+    room for the second order terms and the rounding of |X|^w. So c = 4 sqrt(2).
+    """
     rng = np.random.default_rng(seed)
-    X = MatrixTuple(
-        tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d))
-    )
+    X = MatrixTuple(rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n)))
     order = enumerate_words(d, L)
     values = eval_words(X, order.words)
+    oracle = oracle_monomial_stack(X, order)
+    assert np.array_equal(oracle, np.stack([values[w] for w in order.words]))
     stack = monomial_stack(X, order)
-    assert np.array_equal(stack, np.stack([values[w] for w in order.words]))
+    assert stack.shape == oracle.shape and stack.dtype == np.complex128 and stack.flags.c_contiguous
+    lengths = np.array([len(w) for w in order.words])[:, None, None]
+    bound = STACK_ROUNDING * lengths * (n + 2) * (np.finfo(float).eps / 2) * oracle_monomial_stack(MatrixTuple(np.abs(X.mats)), order).real
+    assert (np.abs(stack - oracle) <= bound).all()
+    # the empty word and the letters are exact
+    assert np.array_equal(stack[0], np.eye(n))
+    assert L == 0 or np.array_equal(stack[1 : d + 1], X.mats)
+
+
+def test_reversed_stack_reverses_every_word():
+    rng = np.random.default_rng(4)
+    for d, L, n in ((1, 0, 3), (1, 5, 2), (2, 4, 1), (2, 4, 3), (3, 3, 2)):
+        X = MatrixTuple(rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n)))
+        order = enumerate_words(d, L)
+        values = eval_words(X, [involute(w) for w in order.words])
+        want = np.stack([values[involute(w)] for w in order.words])
+        np.testing.assert_allclose(reversed_stack(X, order), want, rtol=0, atol=1e-13 * (1 + np.abs(want).max()))
+    with pytest.raises(ValueError, match="word order in 2 letters evaluated at a 1-tuple"):
+        reversed_stack(MatrixTuple((np.eye(2),)), enumerate_words(2, 1))
 
 
 def test_monomial_stack_rejects_mismatched_order():
