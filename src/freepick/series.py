@@ -192,9 +192,16 @@ class FreeSeries:
             coeff=self.values[row],
         )
 
-    @cached_property
+    @property
     def suffix_trie(self) -> tuple[TrieLevel, ...]:
-        """The suffixes of the stored words as a trie, one TrieLevel per depth.
+        """The suffixes of the stored words as a trie, one TrieLevel per depth
+        (see :attr:`_trie`)."""
+        return self._trie[0]
+
+    @cached_property
+    def _trie(self) -> tuple[tuple[TrieLevel, ...], np.ndarray]:
+        """The suffixes of the stored words as a trie, one TrieLevel per depth,
+        and the node of each stored word (insertion order) within its depth.
 
         Depth l lists every distinct suffix s of length l (depth 0 is the
         empty word, the root) in lexicographic order, read left to right. The
@@ -216,7 +223,7 @@ class FreeSeries:
         letters, start = self._letters
         m, width = letters.shape
         if width == 0:
-            return tuple(levels)
+            return tuple(levels), np.zeros(m, dtype=np.int64)
         lengths = set((width - start).tolist())
         base = self.d + 1
         fit = (63 - (m * width + 1).bit_length()) // self.d.bit_length()
@@ -254,7 +261,8 @@ class FreeSeries:
         parent = node[r, c + 1] - first[depth - 1]
         coeff = np.zeros(count, dtype=np.complex128)
         # ids grow with depth, so a row's largest id is its whole word
-        coeff[node.max(axis=1)] = self.values
+        leaf = node.max(axis=1)
+        coeff[leaf] = self.values
         # row i holds node id i + 1; each run of one depth and one letter is a block
         run = depth * base + letters[r, c] - 1
         starts = [0] + ((run[1:] != run[:-1]).nonzero()[0] + 1).tolist()
@@ -267,7 +275,53 @@ class FreeSeries:
         for l in range(1, width + 1):
             at = slice(row[l], row[l] + size[l])
             levels.append(TrieLevel(size[l], coeff[1:][at] if l in lengths else None, parent[at], tuple(blocks[l])))
-        return tuple(levels)
+        return tuple(levels), leaf - first[width - start]
+
+    @cached_property
+    def _split_model(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The split-depth cost model of :func:`_horner` per depth
+        t = 0..width, as float arrays: (A, B) with cost N A_t + B_t and
+        B_t = inf where the prefix order passes WORD_BUDGET; the prefix
+        count wc(d, width - t); and the widest trie level at depth <= t."""
+        sizes = np.array([level.size for level in self.suffix_trie], dtype=float)
+        width = len(sizes) - 1
+        span = np.arange(width, -1, -1)  # width - t
+        top = W.max_degree(self.d, W.WORD_BUDGET)
+        L = np.minimum(span, top)  # no count past the budget is formed
+        count = L + 1.0 if self.d == 1 else (float(self.d) ** (L + 1) - 1) / (self.d - 1)
+        A = count + sizes.cumsum()
+        B = np.where(span <= top, sizes * count, np.inf)
+        return A, B, count, np.maximum.accumulate(sizes)
+
+    @cached_property
+    def _prefix_tables(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def _prefix_coeffs(self, t: int) -> np.ndarray:
+        """C_t of :func:`_horner`: c_{ps} at (node of s, pos(p*)) for every
+        stored word ps with |s| = t, over the depth-t nodes and the words p of
+        length <= width - t; built on first use for each t and kept.
+
+        Each word's node at depth t is its own node walked up its parents,
+        and pos(p*) is read from the suffix positions of the involutes, as
+        the split list reads pos I. One fancy-index assignment scatters them.
+        """
+        C = self._prefix_tables.get(t)
+        if C is None:
+            levels, node = self._trie
+            letters, start = self._letters
+            width = letters.shape[1]
+            length = width - start
+            keep = length >= t
+            node, length = node[keep], length[keep]
+            for l in range(width, t, -1):
+                at = length >= l
+                node[at] = levels[l].parent[node[at]]
+            backward = W.suffix_positions(self.d, W.reversed_letters(letters[keep]))
+            C = np.zeros((levels[t].size, W.word_count(self.d, width - t)), dtype=np.complex128)
+            C[node, backward[np.arange(len(node)), width - length + t]] = self.values[keep]
+            self._prefix_tables[t] = C
+        return C
 
 
 class TrieLevel(NamedTuple):
@@ -386,15 +440,41 @@ def _add_scalars(U: np.ndarray, c: np.ndarray | None) -> None:
         U.reshape(P, m, U.shape[1] // m * U.shape[2])[:, :, :: U.shape[2] + 1] += c[:, None]
 
 
+def _split_depth(f: FreeSeries, N: int) -> int:
+    """The depth t at which :func:`_horner` switches from the prefix GEMM to
+    the level folds, for N x N points (see the cost model there)."""
+    A, B = f._split_model[:2]
+    return len(A) - 1 - int(np.argmin((N * A + B)[::-1]))
+
+
 def _horner(f: FreeSeries, points: np.ndarray, rows: int) -> np.ndarray:
     """The first `rows` rows of f at each of a stack of (d, N, N) points, as
     a (P, rows, N) array.
 
     A right Horner pass over the suffix trie: U_s = c_s I + sum_k U_{x_k s} X_k
-    from the deepest level up, so that U_e = f(X). Only the first rows of
-    each U_s are carried, stacked node by node, so the rows of one letter's
-    nodes are contiguous and each block of a level is one stacked GEMM on
-    them, one GEMM per point as numpy's matmul loops over the stack.
+    from the deepest level up, so that U_e = f(X). Unrolled, the state of a
+    node s is U_s = sum_p c_{ps} X^p over the prefixes p with ps stored, so at
+    a split depth t the whole depth-t state is one GEMM C_t S: row s of C_t
+    holds c_{ps} in the column pos(p*), and S stacks the first rows rows of
+    X^p for every word p of length <= width - t, which is entry pos(p*) of
+    :func:`words._reversed_levels`. The levels above t then fold as below.
+    Only the first rows of each U_s are carried, stacked node by node, so the
+    rows of one letter's nodes are contiguous and each block of a level is
+    one stacked GEMM on them, one GEMM per point as numpy's matmul loops over
+    the stack.
+
+    Counted in multiply-adds per row and column of a state, S costs
+    N wc(d, width - t), the folds N sum_{0 < l <= t} size_l and C_t S
+    size_t wc(d, width - t), so t = :func:`_split_depth` minimizes
+
+        N (wc(d, width - t) + sum_{l <= t} size_l) + size_t wc(d, width - t)
+
+    over the t whose prefix order fits WORD_BUDGET, ties going to the deepest
+    t. It depends on the series and N only, so every point of a stack, and a
+    stack cut in parts, rounds alike. t = width builds no S and is the plain
+    pass, which d = 1 chains always choose, and deep sparse series at small
+    N; a dense series of degree L chooses t near L / 2, where the cost is
+    about count rows N + 2 d^{L/2} rows N^2 instead of count rows N^2.
 
     Each level folds into its parents in letter order: a dense block (one
     child of every parent) is a product of the level above's shape, and a
@@ -406,26 +486,39 @@ def _horner(f: FreeSeries, points: np.ndarray, rows: int) -> np.ndarray:
     trie = f.suffix_trie
     P, N = len(points), points.shape[-1]
     letters = points.swapaxes(0, 1)  # letters[k]: the (P, N, N) stack of X_{k+1}
-    U = np.zeros((P, trie[-1].size * rows, N), dtype=np.complex128)
-    for depth in range(len(trie) - 1, 0, -1):
-        level, up = trie[depth], trie[depth - 1].size
-        _add_scalars(U, level.coeff)
-        (k, _, b), *rest = level.blocks
-        V = U[:, : b * rows] @ letters[k]
-        if b < up:
-            first, V = V, np.zeros((P, up * rows, N), dtype=np.complex128)
-            W = V.reshape(P, up, rows * N)
-            W[:, level.parent[b:]] = -0.0
-            W[:, level.parent[:b]] = first.reshape(P, b, rows * N)
-        for k, a, b in rest:
-            product = U[:, a * rows : b * rows] @ letters[k]
-            if b - a == up:
-                V += product
-            else:
-                V.reshape(P, up, rows * N)[:, level.parent[a:b]] += product.reshape(P, b - a, rows * N)
-        U = V
-    _add_scalars(U, trie[0].coeff)
+    t = _split_depth(f, N)
+    if t < len(trie) - 1:
+        prefixes = W.WordOrder(f.d, len(trie) - 1 - t)
+        S = W._reversed_levels(points, prefixes, rows).reshape(P, len(prefixes), rows * N)
+        U = (f._prefix_coeffs(t) @ S).reshape(P, trie[t].size * rows, N)
+        del S  # the folds hold no prefix stack
+    else:
+        U = np.zeros((P, trie[t].size * rows, N), dtype=np.complex128)
+        _add_scalars(U, trie[t].coeff)
+    for depth in range(t, 0, -1):
+        U = _fold(U, trie[depth], trie[depth - 1].size, letters, rows)
+        _add_scalars(U, trie[depth - 1].coeff)
     return U
+
+
+def _fold(U: np.ndarray, level: TrieLevel, up: int, letters: np.ndarray, rows: int) -> np.ndarray:
+    """sum_k U_{x_k s} X_k for the up parents s of one trie level, from the
+    (P, level.size * rows, N) state U, as a fresh (P, up * rows, N) state."""
+    P, N = len(U), U.shape[-1]
+    (k, _, b), *rest = level.blocks
+    V = U[:, : b * rows] @ letters[k]
+    if b < up:
+        first, V = V, np.zeros((P, up * rows, N), dtype=np.complex128)
+        grid = V.reshape(P, up, rows * N)
+        grid[:, level.parent[b:]] = -0.0
+        grid[:, level.parent[:b]] = first.reshape(P, b, rows * N)
+    for k, a, b in rest:
+        product = U[:, a * rows : b * rows] @ letters[k]
+        if b - a == up:
+            V += product
+        else:
+            V.reshape(P, up, rows * N)[:, level.parent[a:b]] += product.reshape(P, b - a, rows * N)
+    return V
 
 
 def _value_at(f: FreeSeries, X: MatrixTuple) -> np.ndarray:
@@ -446,17 +539,22 @@ def eval_series_batch(f: FreeSeries, points: Sequence[MatrixTuple]) -> np.ndarra
     """f at same-size points, (P, n, n), each value equal to its eval_series.
 
     One right Horner pass over the suffix trie for the whole stack (see
-    :func:`_horner`): each level is one stacked GEMM per letter over that
-    letter's nodes. A stack whose Horner state would pass BATCH_BYTES runs
+    :func:`_horner`): one stacked prefix stack and coefficient GEMM up to the
+    split depth, then one stacked GEMM per letter per level over that
+    letter's nodes. A stack whose pass would hold more than BATCH_BYTES runs
     as several passes over consecutive points, each under that size.
     """
     Xs = stack_points(points)
     if Xs.shape[1] != f.d:
         raise ValueError(f"series in {f.d} letters evaluated at a {Xs.shape[1]}-tuple")
     n = Xs.shape[-1]
-    # the widest level's state, the level above it and one product, per point
-    widest = max(level.size for level in f.suffix_trie)
-    step = max(1, BATCH_BYTES // (3 * 16 * widest * n * n or 1))
+    # per point: the prefix stack, and at the widest level the folds pass
+    # (the depth-t state included) its state, the level above it, one
+    # product and the copies of its parents' rows that numpy's fancy-index
+    # add makes for a sparse block (up to three): at most 6 widest states
+    t = _split_depth(f, n)
+    _, _, count, widest = f._split_model
+    step = max(1, BATCH_BYTES // int(16 * (count[t] + 6 * widest[t]) * n * n or 1))
     parts = [_horner(f, Xs[i : i + step], n) for i in range(0, len(Xs), step)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -575,7 +673,8 @@ def derivative(
         )
     if method == FD:
         def central(t: float) -> np.ndarray:
-            # one pass per shifted point: stacking them was slower at n >= 6
+            # one pass per shifted point; on the split pass a stack of the two
+            # measured 1.4-1.5x faster at n = 6-8 (see ROADMAP), not yet taken
             plus = _horner(f, (X.mats + t * H.mats)[None], X.n)[0]
             minus = _horner(f, (X.mats - t * H.mats)[None], X.n)[0]
             return (plus - minus) / (2 * t)

@@ -15,10 +15,14 @@ are only computed for words of length <= max_degree(d, WORD_BUDGET); a
 longer word reads WORD_BUDGET, which indexes no order. Keys are int64 and
 never overflow, whatever the degree.
 
-:func:`monomial_stack` is the one routine that stacks the values X^I of an
-order, and :func:`reversed_stack` the values X^{I*}. Both are built level by
-level with one GEMM per letter per level: all words of a level times one
-letter form a single tall product, written into one preallocated stack.
+One routine, :func:`_reversed_levels`, stacks the values of an order's
+words: the first rows rows of X^{I*} for every word I, at every point of a
+stack of points. It is built level by level with one GEMM per letter per
+level: all words of a level times one letter form a single tall product per
+point, written into one preallocated stack. :func:`reversed_stack` (the
+X^{I*}) and :func:`monomial_stack` (the X^I) are its one-point, all-rows
+cases, and the Horner pass of ``series`` reads its first rows at a stack of
+points.
 """
 
 from __future__ import annotations
@@ -157,24 +161,27 @@ def check_alphabet(w: Word, d: int) -> None:
             raise ValueError(f"letter {letter} in word {list(w)} is outside 1..{d}")
 
 
-def _reversed_levels(mats: np.ndarray, order: WordOrder) -> np.ndarray:
-    """mats^{I*} for every word I of the order, as a (count, n, n) array.
+def _reversed_levels(points: np.ndarray, order: WordOrder, rows: int) -> np.ndarray:
+    """The first rows rows of X^{I*} for every word I of the order at every
+    point X of a (P, d, N, N) stack, as a (P, count, rows, N) array.
 
     Graded-lex order lists the words of length l + 1 as x_k w, k major, and
-    mats^{(x_k w)*} = mats^{w*} mats_k. So the m words of length l are one
-    (m n, n) operand, and for each letter k one GEMM writes its products
-    with mats_k into the level's k-th run of the preallocated stack: d GEMMs
-    per level, not one small GEMM per word.
+    X^{(x_k w)*} = X^{w*} X_k, so the first rows rows of a word's value are
+    those of its suffix's value times X_k: the restriction to rows is exact.
+    The m words of length l are one (m rows, N) operand per point, and for
+    each letter k one stacked GEMM writes their products with X_k into the
+    level's k-th run of the preallocated stack: d GEMMs per level, one per
+    point as numpy's matmul loops over the stack, not one per word.
     """
-    d, n = mats.shape[:2]
-    out = np.empty((len(order), n, n), dtype=np.complex128)
-    out[0] = np.eye(n)
+    P, d, N = points.shape[:3]
+    out = np.empty((P, len(order), rows, N), dtype=np.complex128)
+    out[:, 0] = np.eye(rows, N)
     start, m = 0, 1  # the first position and the count of the words one shorter
     for _ in range(order.degree):
-        above = out[start : start + m].reshape(m * n, n)
+        above = out[:, start : start + m].reshape(P, m * rows, N)
         for k in range(d):
             run = start + m * (1 + k)
-            np.matmul(above, mats[k], out=out[run : run + m].reshape(m * n, n))
+            np.matmul(above, points[:, k], out=out[:, run : run + m].reshape(P, m * rows, N))
         start, m = start + m, d * m
     return out
 
@@ -185,22 +192,22 @@ def _check_order(X: MatrixTuple, order: WordOrder) -> None:
 
 
 def reversed_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
-    """X^{I*} for every word I of the order, as a (count, n, n) array,
-    built with one GEMM per letter per level."""
+    """X^{I*} for every word I of the order, as a (count, n, n) array:
+    :func:`_reversed_levels` at one point, all rows."""
     _check_order(X, order)
-    return _reversed_levels(X.mats, order)
+    return _reversed_levels(X.mats[None], order, X.n)[0]
 
 
 def monomial_stack(X: MatrixTuple, order: WordOrder) -> np.ndarray:
     """X^I for every word I of the order, as a (count, n, n) array.
 
-    X^I = ((X^T)^{I*})^T, so this is the one-GEMM-per-letter-per-level
-    build of :func:`reversed_stack` at the transposed tuple, with each
-    matrix transposed back by one contiguous copy.
+    X^I = ((X^T)^{I*})^T, so this is :func:`_reversed_levels` at the
+    transposed tuple, one point and all rows, with each matrix transposed
+    back by one contiguous copy.
     """
     _check_order(X, order)
     transposed = np.ascontiguousarray(X.mats.swapaxes(1, 2))
-    return np.ascontiguousarray(_reversed_levels(transposed, order).swapaxes(1, 2))
+    return np.ascontiguousarray(_reversed_levels(transposed[None], order, X.n)[0].swapaxes(1, 2))
 
 
 # no library caller; kept because perfbench/spans.py traces it by name

@@ -25,23 +25,30 @@ and so do the localizing derivative and the Choi matrices read from them.
 
 eval_series is a right Horner pass over the suffix trie, one GEMM per letter
 per level, and the block derivative carries only the top block row of that
-pass at [[X, H], [0, X]]. They have two oracles. One is the sum they
-replace, sum_w c_w X^w with X^w from the suffix-sharing word evaluator; the
-two add the terms in different orders, so they agree to EVAL_RTOL rather
-than exactly. The other is the earlier layout of the same pass: a trie
-ordered by the suffixes read right to left, one batched product per level
-over every node and a gather-add per sibling rank. That one adds the same
-terms in the same order, so it must agree bit for bit, signed zeros
-included.
+pass at [[X, H], [0, X]]. Below a split depth t the pass builds the whole
+depth-t state as one coefficient GEMM C_t S instead of folding the deeper
+levels; t = width is the plain pass. They have two oracles. One is the sum
+they replace, sum_w c_w X^w with X^w from the suffix-sharing word
+evaluator; the two add the terms in different orders, so they agree to
+EVAL_RTOL rather than exactly. The other is the earlier layout of the
+plain pass: a trie ordered by the suffixes read right to left, one batched
+product per level over every node and a gather-add per sibling rank. That
+one adds the same terms in the same order as the plain pass, so where the
+pass does not split it must agree bit for bit, signed zeros included, and
+where it splits it must agree within horner_bound.
 
 The pass itself runs on a stack of points, one stacked GEMM per letter per
 level for the whole stack, and eval_series, the block derivative, the fd
-route and eval_series_batch all go through it. Its oracle is the same pass
+route and eval_series_batch all go through it. Its oracle is the plain pass
 at one point, planar_horner below, with one 2-D GEMM per letter per level;
-each point of the stack must equal it bit for bit, signed zeros included.
+each point of the stack must equal it bit for bit where the pass does not
+split and within horner_bound where it does, at every split depth. The
+split depth depends on the series and the point size only, so each point
+of a stack equals the pass at that point alone bit for bit.
 """
 
 import json
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -212,6 +219,63 @@ def planar_horner(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray:
     return U
 
 
+# 4 sqrt(2): twice (the split pass and its oracle) sqrt(2) (complex modulus), see horner_bound
+HORNER_ROUNDING = 4 * np.sqrt(2)
+
+
+def absolute(f: FreeSeries) -> FreeSeries:
+    """|f|, the series of the |c_w|."""
+    return FreeSeries(d=f.d, degree=f.degree, coeffs={w: abs(c) for w, c in f.coeffs.items()})
+
+
+def horner_bound(f: FreeSeries, point: np.ndarray, rows: int, t: int) -> np.ndarray:
+    """How far the pass split at depth t and planar_horner may be apart,
+    entrywise: c (width (d N + 2) + K) u |f|(|X|), with K = word_count(d,
+    width - t), u = 2^-53 and |X| the entrywise absolute point.
+
+    Higham (Accuracy and Stability of Numerical Algorithms, ch. 3): the real
+    and imaginary parts of an entry of a complex product or sum are real
+    inner products, each within gamma_k of its sum of absolute terms in any
+    order, k its length and gamma_k = k u / (1 - k u), so the modulus of the
+    error is within sqrt(2) gamma_k of that sum. In the split pass, a row of
+    X^p is |p| - 1 products of inner length N after the exact first one,
+    C_t S sums K terms, and each level above t sums the products of at most
+    d children, of inner length N, and c_s: lengths 2N, 2K and 2dN + 1. By
+    induction over the depth, each computed state is within
+    sqrt(2) u (2N (width - t) + 2K + t (2dN + 1)) <= 2 sqrt(2) u (width (dN + 1) + K)
+    of its absolute state sum_p |c_{ps}| |X|^p, to first order, and
+    planar_horner, the plain pass, within 2 sqrt(2) u width (dN + 1). The
+    two are apart by at most the sum, below 4 sqrt(2) u (width (dN + 1) + K),
+    and width (dN + 2) leaves room for the second order terms and the
+    rounding of |f|(|X|). So c = 4 sqrt(2).
+    """
+    width = len(f.suffix_trie) - 1
+    k = width * (f.d * point.shape[-1] + 2) + word_count(f.d, width - t)
+    size = planar_horner(absolute(f), np.abs(point).astype(np.complex128), rows).real
+    return HORNER_ROUNDING * k * (np.finfo(float).eps / 2) * size
+
+
+def split_bound(f: FreeSeries, point: np.ndarray, rows: int) -> np.ndarray | None:
+    """horner_bound at the depth the pass picks for the point, or None when
+    it picks t = width, where the pass is planar_horner bit for bit."""
+    t = series._split_depth(f, point.shape[-1])
+    return None if t == len(f.suffix_trie) - 1 else horner_bound(f, point, rows, t)
+
+
+def assert_within(got: np.ndarray, want: np.ndarray, bound: np.ndarray | None) -> None:
+    """got equals want bit for bit when bound is None, else within it entrywise."""
+    if bound is None:
+        assert_same_bits(got, want)
+    else:
+        assert got.shape == want.shape == bound.shape and got.dtype == np.complex128
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def corner(bound: np.ndarray | None, n: int) -> np.ndarray | None:
+    """The upper-right n x n corner of a block point's bound."""
+    return None if bound is None else bound[:n, n:]
+
+
 def dict_localizing_matrix(f: FreeSeries, k: int, L: int) -> np.ndarray:
     order = enumerate_words(f.d, L)
     count = len(order)
@@ -329,14 +393,17 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 def assert_eval_matches_oracles(f: FreeSeries, X: MatrixTuple) -> None:
     """eval_series to the word sum, and eval_series and the block derivative
-    bit for bit to the batched Horner pass at X and at [[X, H], [0, X]]."""
+    to the batched Horner pass at X and at [[X, H], [0, X]]: bit for bit
+    where the pass does not split, within horner_bound where it does."""
     got = eval_series(f, X).value
     assert got.shape == (X.n, X.n) and got.dtype == np.complex128
     assert_rel_close(got, word_sum(f, X), EVAL_RTOL)
-    assert_same_bits(got, batched_horner(f, X))
+    assert_within(got, batched_horner(f, X), split_bound(f, X.mats, X.n))
     H = general_tuple(X.n, X.d, np.random.default_rng(X.n))
-    want = batched_horner(f, block_point(X, H))[: X.n, X.n :]
-    assert_same_bits(derivative(f, X, H, method="block"), want)
+    big = block_point(X, H)
+    want = batched_horner(f, big)[: X.n, X.n :]
+    bound = split_bound(f, big.mats, X.n if X.n > 1 else 2 * X.n)
+    assert_within(derivative(f, X, H, method="block"), want, corner(bound, X.n))
 
 
 # ------------------------------------------------------------------ inputs
@@ -532,7 +599,8 @@ def signed_zero_case(rng: np.random.Generator, count: int) -> tuple[FreeSeries, 
 
 def assert_stack_matches_planar(f: FreeSeries, points: list[MatrixTuple]) -> None:
     """The stacked pass at every prefix of points, at every rows the
-    library uses, against planar_horner point by point."""
+    library uses, against planar_horner point by point, and each point of
+    the stack bit for bit against the pass at that point alone."""
     stack = np.array([X.mats for X in points])
     n = stack.shape[-1]
     for P in range(1, len(points) + 1):
@@ -540,7 +608,8 @@ def assert_stack_matches_planar(f: FreeSeries, points: list[MatrixTuple]) -> Non
             got = series._horner(f, stack[:P], rows)
             assert got.shape == (P, rows, n)
             for p in range(P):
-                assert_same_bits(got[p], planar_horner(f, stack[p], rows))
+                assert_within(got[p], planar_horner(f, stack[p], rows), split_bound(f, stack[p], rows))
+                assert_same_bits(got[p], series._horner(f, stack[p : p + 1], rows)[0])
         assert_same_bits(eval_series_batch(f, points[:P]), np.array([eval_series(f, X).value for X in points[:P]]))
 
 
@@ -560,9 +629,11 @@ def test_stacked_pass_matches_the_planar_pass():
             for P in range(1, 6):
                 got = series._horner(f, stack[:P], rows)
                 for p in range(P):
-                    assert_same_bits(got[p], planar_horner(f, stack[p], rows))
+                    assert_within(got[p], planar_horner(f, stack[p], rows), split_bound(f, stack[p], rows))
+                    assert_same_bits(got[p], series._horner(f, stack[p : p + 1], rows)[0])
             for x, h, big in zip(X, H, stack):
-                assert_same_bits(derivative(f, x, h, method="block"), planar_horner(f, big, rows)[:n, n:])
+                bound = corner(split_bound(f, big, rows), n)
+                assert_within(derivative(f, x, h, method="block"), planar_horner(f, big, rows)[:n, n:], bound)
 
 
 def test_stacked_pass_keeps_signed_zeros():
@@ -573,18 +644,33 @@ def test_stacked_pass_keeps_signed_zeros():
 
 
 def test_fd_route_is_two_planar_passes(halfres_series, d2res_series):
+    """Bit for bit where the pass does not split. Where it splits, each
+    pass is within its horner_bound B of planar_horner, so a central
+    difference at step h is within (B_+ + B_-) / 2h plus the rounding of its
+    own difference and quotient, below 4 u its size, and Richardson's
+    (4 D(h/2) - D(h)) / 3 within the same combination of those bounds."""
     rng = np.random.default_rng(27)
+    u = np.finfo(float).eps / 2
     for f in (halfres_series, d2res_series, deep_sparse(rng)):
         for n in (1, 3):
             X, H = general_tuple(n, f.d, rng), general_tuple(n, f.d, rng)
             X = MatrixTuple(0.3 * X.mats)
 
-            def central(t):
-                return (planar_horner(f, X.mats + t * H.mats, n) - planar_horner(f, X.mats - t * H.mats, n)) / (2 * t)
+            def central(h):
+                plus, minus = X.mats + h * H.mats, X.mats - h * H.mats
+                value = (planar_horner(f, plus, n) - planar_horner(f, minus, n)) / (2 * h)
+                bounds = split_bound(f, plus, n), split_bound(f, minus, n)
+                if bounds[0] is None:
+                    return value, None
+                return value, (bounds[0] + bounds[1]) / (2 * h) + 4 * u * np.abs(value)
 
-            assert_same_bits(derivative(f, X, H, method="fd"), central(series.FD_STEP))
-            want = (4 * central(series.FD_STEP / 2) - central(series.FD_STEP)) / 3
-            assert_same_bits(derivative(f, X, H, method="fd", richardson=True), want)
+            want, bound = central(series.FD_STEP)
+            assert_within(derivative(f, X, H, method="fd"), want, bound)
+            (half, half_bound), (full, full_bound) = central(series.FD_STEP / 2), central(series.FD_STEP)
+            want = (4 * half - full) / 3
+            if bound is not None:
+                bound = (4 * half_bound + full_bound) / 3 + 4 * u * np.abs(want)
+            assert_within(derivative(f, X, H, method="fd", richardson=True), want, bound)
 
 
 def test_series_evaluator_batch_matches_single_points(x3_series, halfres_series, d2res_series, monkeypatch):
@@ -603,6 +689,117 @@ def test_series_evaluator_batch_matches_single_points(x3_series, halfres_series,
         eval_series_batch(x3_series, [general_tuple(2, 2, rng)])
     with pytest.raises(ValueError, match=r"^a batch needs at least one point"):
         eval_series_batch(x3_series, [general_tuple(2, 1, rng), general_tuple(3, 1, rng)])
+
+
+def sparse_chain(rng: np.random.Generator) -> FreeSeries:
+    """A one-letter series of degree 30 with every third power stored."""
+    return FreeSeries(d=1, degree=30, coeffs={(1,) * k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(0, 31, 3)})
+
+
+def split_cases(rng: np.random.Generator) -> list[FreeSeries]:
+    dense = [random_dense(d, degree, rng) for d, degree in ((1, 9), (2, 5), (3, 3))]
+    return dense + [deep_sparse(rng), sparse_chain(rng)]
+
+
+def split_points(f: FreeSeries, rng: np.random.Generator) -> list[tuple[np.ndarray, int]]:
+    """Stacks of three points at n = 0, 1 and 3 with rows = n, and of three
+    block points at n = 1 and 3 with the rows the block derivative carries."""
+    out = [(0.4 * np.array([general_tuple(n, f.d, rng).mats for _ in range(3)]), n) for n in (0, 1, 3)]
+    for n in (1, 3):
+        big = [block_point(MatrixTuple(0.4 * general_tuple(n, f.d, rng).mats), general_tuple(n, f.d, rng)) for _ in range(3)]
+        out.append((np.array([X.mats for X in big]), n if n > 1 else 2 * n))
+    return out
+
+
+def test_every_split_depth_matches_the_planar_pass(monkeypatch):
+    """The pass split at each depth t whose prefix order fits the word
+    budget, against planar_horner within horner_bound, and the batch
+    evaluator against one eval_series per point bit for bit."""
+    rng = np.random.default_rng(29)
+    cases = [(f, split_points(f, rng)) for f in split_cases(rng)]
+    for _ in range(20):
+        f, points = signed_zero_case(rng, 3)
+        cases.append((f, [(np.array([X.mats for X in points]), points[0].n)]))
+    for f, stacks in cases:
+        width = len(f.suffix_trie) - 1
+        for t in range(width + 1):
+            if word_count(f.d, width - t) > words.WORD_BUDGET:
+                continue
+            monkeypatch.setattr(series, "_split_depth", lambda f, N, t=t: t)
+            for stack, rows in stacks:
+                got = series._horner(f, stack, rows)
+                assert got.shape == (len(stack), rows, stack.shape[-1])
+                for p, point in enumerate(stack):
+                    want = planar_horner(f, point, rows)
+                    bound = horner_bound(f, point, rows, t)
+                    assert np.all(np.abs(got[p] - want) <= bound), (t, p, rows)
+                    if t == width:
+                        assert_same_bits(got[p], want)
+                if rows == stack.shape[-1]:
+                    points = [MatrixTuple(X) for X in stack]
+                    assert_same_bits(eval_series_batch(f, points), np.array([eval_series(f, X).value for X in points]))
+            # the prefix tables of the shallow depths are large; keep one at a time
+            f._prefix_tables.clear()
+
+
+def test_split_depth_model():
+    """t = width for one-letter chains at every size, for the deep sparse
+    series at the sizes of their value and fd points (N <= 3), and for the
+    degree-70 series; about half the degree for dense series; the deepest t
+    on ties; and never a prefix order past the word budget."""
+    rng = np.random.default_rng(30)
+    chains = [random_dense(1, 12, rng), sparse_chain(rng)]
+    for f in chains:
+        assert [series._split_depth(f, N) for N in range(17)] == [len(f.suffix_trie) - 1] * 17
+    for seed in range(8):
+        f = deep_sparse(np.random.default_rng(seed))
+        assert [series._split_depth(f, N) for N in (1, 2, 3)] == [24] * 3
+    for f in degree70_series():
+        assert [series._split_depth(f, N) for N in (1, 3, 8, 64)] == [70] * 4
+    for d, degree in ((2, 8), (2, 10), (3, 6)):
+        f = FreeSeries(d=d, degree=degree, coeffs={w: 1.0 for w in enumerate_words(d, degree).words})
+        for N in (2, 4, 8):
+            assert abs(series._split_depth(f, N) - degree / 2) <= 1
+    # equal costs at every depth: the deepest wins
+    f = random_dense(2, 6, rng)
+    vars(f)["_split_model"] = (np.full(7, 3.0), np.ones(7), *f._split_model[2:])
+    assert series._split_depth(f, 4) == 6
+    # prefix orders past the budget cost inf: at d = 2, width - t <= 15
+    B = FreeSeries(d=2, degree=40, coeffs={(1,) * 40: 1.0, (2,): 1.0})._split_model[1]
+    top = words.max_degree(2, words.WORD_BUDGET)
+    assert np.isinf(B[: 40 - top]).all() and np.isfinite(B[40 - top :]).all()
+
+
+def test_batch_chunks_hold_the_split_pass(monkeypatch):
+    """eval_series_batch cuts a stack into parts of step points, step sized
+    by what the split pass holds per point, and with the cap at three
+    points' worth the pass's traced peak stays under it."""
+    rng = np.random.default_rng(32)
+    for f in (random_dense(2, 8, rng), random_dense(3, 5, rng), deep_sparse(rng)):
+        for n in (2, 4):
+            points = [MatrixTuple(0.3 * general_tuple(n, f.d, rng).mats) for _ in range(8)]
+            want = eval_series_batch(f, points)
+            t = series._split_depth(f, n)
+            _, _, count, widest = f._split_model
+            cap = 3 * int(16 * (count[t] + 6 * widest[t]) * n * n)
+            parts = []
+            horner = series._horner
+
+            def spy(f, stack, rows):
+                parts.append(len(stack))
+                return horner(f, stack, rows)
+
+            with monkeypatch.context() as m:
+                m.setattr(series, "BATCH_BYTES", cap)
+                m.setattr(series, "_horner", spy)
+                tracemalloc.start()
+                base = tracemalloc.get_traced_memory()[0]
+                got = eval_series_batch(f, points)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                tracemalloc.stop()
+            assert parts == [3, 3, 2]
+            assert peak <= cap
+            assert_same_bits(got, want)
 
 
 def test_eval_with_zero_coefficients_and_unstored_suffixes():
