@@ -12,7 +12,8 @@ at a generic two-letter point and the five commands of `edge_commands`
 (the sparse series where its report has exact zeros, two series whose
 header the constructor refuses, and eval and monotone on a real-free
 series of degree 70) run once per tree, as do `interpolate` and the
-localizing `deriv` of d2res at a generated 3 x 3 two-letter point. Each
+localizing `deriv` of d2res at a generated 3 x 3 two-letter point, and the
+two Herglotz forms of `herglotz_commands` on a generated model. Each
 tree's commands run in one child interpreter with PYTHONPATH set to that
 tree and one BLAS thread, which calls `freepick.cli.main` once per
 command. Each command runs in a fresh working directory of its own and
@@ -79,6 +80,22 @@ def generated_matrix(n: int, phase: int, scale: float) -> list:
 WIDE_POINT = {"d": 2, "n": 3, "matrices": [generated_matrix(3, k, 0.7) for k in (1, 2)]}
 WIDE_DIRECTION = {"d": 2, "n": 3, "matrices": [generated_matrix(3, k, 0.5) for k in (3, 4)]}
 WIDE_TARGET = generated_matrix(3, 5, 1.0)
+
+
+def phase_permutation(size: int) -> list:
+    """A size x size unitary of [re, im] entries: column k holds
+    cos(1 + 2k) + i sin(1 + 2k) in row k + 1 (mod size) and zeros elsewhere."""
+    U = [[[0.0, 0.0] for _ in range(size)] for _ in range(size)]
+    for k in range(size):
+        U[(k + 1) % size][k] = [math.cos(1 + 2 * k), math.sin(1 + 2 * k)]
+    return U
+
+
+# a generated Herglotz model with d = m = 2 and a two-letter 2 x 2 strict
+# contraction (entries of modulus at most 0.3 sqrt 2, so norms under 0.85), where
+# both forms solve a non-scalar pencil (the Moebius fixture's is 1 x 1)
+HERGLOTZ_MODEL = {"d": 2, "m": 2, "U": phase_permutation(4), "v": [0.5, 0.5, 0.5, 0.5], "a": 0.5}
+DISK_POINT = {"d": 2, "n": 2, "matrices": [generated_matrix(2, k, 0.3) for k in (6, 7)]}
 
 # a sparse two-letter series: the x_1 block of its level 3 reaches only half
 # the level above, so the Horner pass starts that level at +0.0 with -0.0 at
@@ -190,9 +207,9 @@ def tuple_commands(point: Path) -> list[list[str]]:
     kind-4 representation, on d2res up to size 3 and on a kind-2
     representation over 30 trials of sizes 1-4 (batches of several points
     at each point size 1-5 and 7), the half-plane Cayley
-    direction, the three derivative routes in two letters, the resolvent
-    Herglotz form, kind-4 and kind-3 representations at a two-letter point
-    and the kind-3 type probe."""
+    direction, the three derivative routes in two letters, both Herglotz
+    forms of the Moebius fixture, kind-4 and kind-3 representations at a
+    two-letter point and the kind-3 type probe."""
 
     def fixture(name: str) -> str:
         return str(FIXTURES / f"{name}.json")
@@ -206,11 +223,20 @@ def tuple_commands(point: Path) -> list[list[str]]:
             ["deriv", "--series", fixture("d2res_series"), "--point", str(point), "--direction", fixture("pi2_point"), "--method", method]
             for method in ("block", "localizing", "fd")
         ),
-        ["herglotz-eval", "--model", fixture("moebius_model"), "--point", fixture("half_scalar_point"), "--method", "resolvent"],
+        *(
+            ["herglotz-eval", "--model", fixture("moebius_model"), "--point", fixture("half_scalar_point"), "--method", method]
+            for method in ("resolvent", "cayley")
+        ),
         ["rep-eval", "--rep", fixture("type4_rep"), "--point", fixture("pi2_point")],
         ["rep-eval", "--rep", fixture("type3_rep"), "--point", fixture("pi2_point")],
         ["rep-classify", "--rep", fixture("type3_rep")],
     ]
+
+
+def herglotz_commands(model: Path, point: Path) -> list[list[str]]:
+    """herglotz-eval of the generated model at the generated contraction
+    point in either form."""
+    return [["herglotz-eval", "--model", str(model), "--point", str(point), "--method", m] for m in ("cayley", "resolvent")]
 
 
 def run_here(main, argv: list[str]) -> tuple[bytes | None, str, str, int]:
@@ -295,6 +321,8 @@ def main() -> int:
             "wide_point": WIDE_POINT,
             "wide_direction": WIDE_DIRECTION,
             "wide_target": WIDE_TARGET,
+            "herglotz_model": HERGLOTZ_MODEL,
+            "disk_point": DISK_POINT,
         }
         for name, data in files.items():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
@@ -315,6 +343,7 @@ def main() -> int:
              "--direction", str(wide_direction), "--method", "localizing"]
         )
         commands += edge_commands(point, sparse, diagonal, header_rejected, deep)
+        commands += herglotz_commands(Path(tmp) / "herglotz_model.json", Path(tmp) / "disk_point.json")
         differ = 0
         runs = [run_tree(src, commands) for src in trees]
         for argv, a, b in zip(commands, *runs):

@@ -16,33 +16,40 @@ The two forms are distinct parameterizations of the class, not the same
 function of (U, v) in general; for scalar models both reduce to Moebius
 maps, which coincide exactly when U is real.
 
-Both forms are linear-pencil resolvents v* L(X)^{-1} R with
-L(X) = A_0 (x) I_n + sum_i A_i (x) X_i (the realization form of Helton,
-Klep and McCullough, and of Ball, Groenewald and Malakorn). With E_i the
-projection of H_d onto its block i, so that delta(X) = sum_i E_i (x) X_i:
+Both forms are linear-pencil resolvents in the form that nevanlinna's
+representations share (the realization form of Helton, Klep and
+McCullough, and of Ball, Groenewald and Malakorn),
+h(X) = c I + (l (x) I) L(X)^{-1} R(X) with L(X) = A_0 (x) I_n -
+sum_i C_i (x) X_i and R(X) = r (x) I_n + sum_i G_i (x) X_i. With E_i the
+projection of H_d onto its block i, so that delta(X) = sum_i E_i (x) X_i,
+and W = (U (x) I) delta(X):
 
-    Cayley form:     A_0 = I, A_i = -U E_i, so L = I - (U (x) I) delta(X);
-                     the product (U (x) I) delta(X) is formed once and
-                     serves the pencil and the left factor I + (U (x) I) delta(X);
-    resolvent form:  A_0 = U, A_i = -E_i, so L = U (x) I - delta(X), and
-                     R = (U (x) I + delta(X))(v (x) I).
+    Cayley form:     (c, A_0, C_i, l, r, G_i) = (0, I, U E_i, v*, v, U E_i v),
+                     so L = I - W and R = (I + W)(v (x) I), as I + W
+                     commutes with (I - W)^{-1};
+    resolvent form:  (c, A_0, C_i, l, r, G_i) = (-i a, U, E_i, v*, U v, E_i v),
+                     so L = U (x) I - delta(X).
+
+The Cayley form keeps I + W in R rather than write h as
+2 v* L^{-1} v - v*v, which adds terms of size 1 where h nears 0 and so
+loses the relative accuracy that (I + W)(v (x) I) keeps.
 
 Both pencils are well conditioned wherever the model evaluates, so their
 solves skip the singular values. With m = CONTRACTION_MARGIN and
-t = UNITARITY_TOL, the contraction gate gives ||delta(X)|| = max_i ||X_i|| <= 1 - m,
-and ||U*U - I|| <= t gives ||U|| <= 1 + t/2 and sigma_min(U) >= 1 - t, so
+t = UNITARITY_TOL, the contraction gate gives ||delta(X)|| =
+max_i ||X_i|| <= 1 - m, and ||U*U - I|| <= t gives ||U|| <= 1 + t/2 and
+sigma_min(U) >= 1 - t, so
 
-    Cayley form:     sigma_min(I - (U (x) I) delta(X)) >= m - t/2, sigma_max <= 2;
+    Cayley form:     sigma_min(I - W) >= m - t/2, sigma_max <= 2;
     resolvent form:  sigma_min(U (x) I - delta(X)) >= m - t, sigma_max <= 2 + t.
 
 Both condition numbers are at most PENCIL_COND_BOUND = (2 + t) / (m - t),
 about 2.0e6, five orders under COND_CUTOFF; that room also covers the
 rounding of the pencil and of the computed norms the gates compare.
 
-U (x) I_n, v (x) I_n and v* (x) I_n are built once per model and per n and
-kept on the model (PencilScaffold); a batch of same-size points is one
-stack of pencils and one guarded solve (eval_herglotz_batch), and
-eval_herglotz is a batch of one.
+A model builds its two pencils on first evaluation and keeps them; a batch
+of same-size points is one stack of pencils and one guarded solve
+(eval_herglotz_batch), and eval_herglotz is a batch of one.
 
 The bridges move between the Pick class on the matricial half-plane and
 the Herglotz class on the polydisk through the coordinatewise Cayley
@@ -65,13 +72,12 @@ from .matcore import (
     CONTRACTION_MARGIN,
     DISK_TO_HALF,
     HALF_TO_DISK,
+    AffinePencil,
     DomainError,
     MatrixTuple,
-    PencilScaffold,
     as_complex_matrix,
     cayley,
     checked_solve,
-    pencil_terms,
     screened_norms,
     spectral_norm,
     stack_points,
@@ -93,7 +99,7 @@ HERGLOTZ_TO_PICK = "herglotz_to_pick"
 
 
 @dataclass(frozen=True, eq=False)
-class HerglotzModel(PencilScaffold):
+class HerglotzModel:
     """Model data (U unitary on H_d, unit vector v, real shift a)."""
 
     d: int
@@ -126,16 +132,20 @@ class HerglotzModel(PencilScaffold):
         object.__setattr__(self, "a", a)
 
     @cached_property
-    def _blocks(self) -> np.ndarray:
-        """E_i, the projection of H_d onto its block i, stacked as (d, dm, dm)."""
-        size = self.d * self.m
-        owner = np.arange(size) // self.m
-        return np.eye(size) * (owner == np.arange(self.d)[:, None])[:, None, :]
-
-    @cached_property
-    def pencil_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, v, v*): the scaffold is (U (x) I_n, v (x) I_n, v* (x) I_n)."""
-        return self.U, self.v.reshape(-1, 1), self.v.conj().reshape(1, -1)
+    def pencils(self) -> dict[str, AffinePencil]:
+        """Each form's pencil, built on first evaluation (coefficients in the
+        module docstring); G_i = C_i v in both."""
+        U, v, size = self.U, self.v, self.d * self.m
+        E = np.eye(size) * (np.arange(size) // self.m == np.arange(self.d)[:, None, None])  # E_i, (d, dm, dm)
+        v_row, v_col = v.conj().reshape(1, -1), v.reshape(-1, 1)
+        forms = {
+            CAYLEY_FORM: (0.0, np.eye(size), U @ E, v_col, "Herglotz Cayley kernel"),
+            RESOLVENT_FORM: (-1j * self.a, U, E, U @ v_col, "Herglotz resolvent"),
+        }
+        return {
+            form: AffinePencil(c, A0, v_row, r, np.concatenate((C, (C @ v)[..., None]), axis=2), what, PENCIL_COND_BOUND)
+            for form, (c, A0, C, r, what) in forms.items()
+        }
 
 
 def _require_strict_contractions(Xs: np.ndarray) -> None:
@@ -160,8 +170,8 @@ def eval_herglotz_batch(
 ) -> np.ndarray:
     """Evaluate the model at same-size strict contraction tuples, (P, n, n).
 
-    One pencil per point over a shared scaffold, one guarded stacked solve,
-    whose verdict PENCIL_COND_BOUND settles.
+    One stacked solve of the model's pencil for the form, whose guard
+    PENCIL_COND_BOUND settles.
     """
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
@@ -169,16 +179,7 @@ def eval_herglotz_batch(
     if Xs.shape[1] != model.d:
         raise ValueError(f"X has {Xs.shape[1]} coordinates, the model has {model.d}")
     _require_strict_contractions(Xs)
-    n = Xs.shape[-1]
-    UI, v_col, v_row = model.scaffold(n)
-    D = pencil_terms(model._blocks, Xs)
-    if form == CAYLEY_FORM:
-        UD = UI @ D
-        eye = np.eye(UD.shape[-1])
-        sol = checked_solve(eye - UD, v_col, "Herglotz Cayley kernel", PENCIL_COND_BOUND)
-        return v_row @ (eye + UD) @ sol
-    sol = checked_solve(UI - D, (UI + D) @ v_col, "Herglotz resolvent", PENCIL_COND_BOUND)
-    return -1j * model.a * np.eye(n) + v_row @ sol
+    return model.pencils[form].eval_batch(Xs)
 
 
 def herglotz_evaluator(model: HerglotzModel) -> Callable[[MatrixTuple], np.ndarray]:

@@ -245,26 +245,51 @@ def checked_solve(
     return la.solve(A, B)
 
 
-class PencilScaffold:
-    """Mixin for a model evaluated through a linear pencil at n x n points.
+@dataclass(frozen=True, eq=False)
+class AffinePencil:
+    """The linear-pencil resolvent h(X) = a I + (l (x) I) L(X)^{-1} R(X).
 
-    The model lists its constant matrices in pencil_constants. scaffold(n)
-    returns each of them tensored with I_n, built on first use for that n
-    and then kept on the model object, so the cache lives as long as the
-    model does and no longer.
+    L(X) = A0 (x) I_n - sum_i C_i (x) X_i and R(X) = r (x) I_n +
+    sum_i G_i (x) X_i, with A0 (N, N), l (1, N), r (N, 1) and CG the
+    (d, N, N) stack of the C_i, or (d, N, N + 1) with G_i as its last
+    column. what labels the solve's errors, and cond_bound is a proven
+    bound on the condition number of L passed to checked_solve. A0, l and r
+    tensored with I_n are built on first use for that n and kept on the
+    pencil, which lives as long as the model that built it.
     """
 
+    a: complex
+    A0: np.ndarray
+    l: np.ndarray
+    r: np.ndarray
+    CG: np.ndarray
+    what: str
+    cond_bound: float | None = None
+
     @cached_property
-    def _scaffolds(self) -> dict[int, tuple]:
+    def _scaffolds(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return {}
 
-    def scaffold(self, n: int) -> tuple:
+    def eval_batch(self, Xs: np.ndarray) -> np.ndarray:
+        """h at each point of a (P, d, n, n) stack, (P, n, n): one stack of
+        pencils and one guarded solve."""
+        P, d, n, _ = Xs.shape
         parts = self._scaffolds.get(n)
         if parts is None:
             eye = np.eye(n)
-            parts = tuple(np.kron(C, eye) for C in self.pencil_constants)
-            self._scaffolds[n] = parts
-        return parts
+            parts = self._scaffolds[n] = (np.kron(self.A0, eye), np.kron(self.l, eye), np.kron(self.r, eye))
+        A0, l_row, r_col = parts
+        N = A0.shape[-1]
+        # [sum C_i (x) X_i | sum G_i (x) X_i], added in coordinate order, each
+        # term an entrywise product as np.kron forms it
+        CG = self.CG
+        terms = CG[0][:, None, :, None] * Xs[:, 0, None, :, None, :]
+        for i in range(1, d):
+            terms += CG[i][:, None, :, None] * Xs[:, i, None, :, None, :]
+        terms = terms.reshape(P, N, CG.shape[2] * n)
+        R = r_col if terms.shape[-1] == N else r_col + terms[..., N:]
+        sol = checked_solve(A0 - terms[..., :N], R, self.what, self.cond_bound)
+        return self.a * np.eye(n) + l_row @ sol
 
 
 def stack_points(points: Sequence[MatrixTuple]) -> np.ndarray:
@@ -273,23 +298,6 @@ def stack_points(points: Sequence[MatrixTuple]) -> np.ndarray:
     if len(shapes) != 1:
         raise ValueError(f"a batch needs at least one point and one (d, n) shape, got {sorted(shapes)}")
     return np.array([X.mats for X in points])
-
-
-def pencil_terms(A: np.ndarray, Xs: np.ndarray) -> np.ndarray:
-    """Sum_i A_i (x) X_i at every point of a stack.
-
-    A holds the coefficients, shape (d, M, K); Xs the points, shape
-    (P, d, n, n). The result has shape (P, M n, K n). The terms are added in
-    coordinate order, each one an entrywise product, as np.kron forms it.
-    A linear pencil A_0 (x) I_n + sum_i A_i (x) X_i is this sum plus the
-    constant A_0 (x) I_n, which callers build once per n.
-    """
-    P, d, n, _ = Xs.shape
-    _, M, K = A.shape
-    out = A[0][:, None, :, None] * Xs[:, 0, None, :, None, :]
-    for i in range(1, d):
-        out += A[i][:, None, :, None] * Xs[:, i, None, :, None, :]
-    return out.reshape(P, M * n, K * n)
 
 
 def direct_sum(X: MatrixTuple, Y: MatrixTuple) -> MatrixTuple:

@@ -31,11 +31,10 @@ The terms come from delta(Z)(E_K (x) I) = sum_i (P_i E_K) (x) Z_i and
 delta(Z)(D1 (x) I)(w (x) I) = sum_i (P_i D1 w) (x) Z_i (Y_i for P_i in
 kind 3), so no term is added and then subtracted. Kind 3 keeps these
 constants: its kind-2 form (a - v*Av, (I + iA) v) cancels terms of size
-||A|| (1e-12 relative at ||A|| = 1e4, 5e-8 at 1e9). The constants and the
-stack [C_i | G_i] are computed once per spec, so one pencil_terms call gives
-both sums, and the constants' tensor products with I_n once per spec and
-per n (PencilScaffold). A batch of same-size points is one guarded stacked
-solve (eval_representation_batch); eval_representation is a batch of one.
+||A|| (1e-12 relative at ||A|| = 1e4, 5e-8 at 1e9). The spec builds its
+AffinePencil, with the stack [C_i | G_i], on first evaluation and keeps it.
+A batch of same-size points is one guarded stacked solve
+(eval_representation_batch); eval_representation is a batch of one.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ import numpy.linalg as la
 
 from .matcore import (
     DEFAULT_PSD_TOL,
+    PI_POINT,
+    AffinePencil,
     DomainError,
     MatrixTuple,
-    PI_POINT,
-    PencilScaffold,
     checked_solve,
-    pencil_terms,
     point_sampler,
     spectral_norm,
     stack_points,
@@ -88,7 +86,7 @@ def _check_hermitian(A: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class RepresentationSpec(PencilScaffold):
+class RepresentationSpec:
     """Data of a type 1-4 Nevanlinna representation on C^m.
 
     kinds 1-3 carry a positive decomposition Y (kind 1 additionally has
@@ -167,12 +165,14 @@ class RepresentationSpec(PencilScaffold):
         return self.Y if self.Y is not None else self.P
 
     @cached_property
-    def pencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(A_0, l, r, [C | G]) of the kind's resolvent, once per spec: the
-        (d, m, m) stack C, with G as one more column for kinds 3 and 4."""
+    def pencil(self) -> AffinePencil:
+        """The kind's resolvent (a, A_0, l, r, [C | G]), built on first
+        evaluation: C is the (d, m, m) stack, with G as one more column for
+        kinds 3 and 4."""
         C = np.array(self.decomposition)
         if self.kind in (1, 2):
-            return self.A, self.v.conj().reshape(1, -1), self.v.reshape(-1, 1), C
+            v = self.v
+            return AffinePencil(self.a, self.A, v.conj().reshape(1, -1), v.reshape(-1, 1), C, "structured resolvent")
         # kind 3 is kind 4 with an empty N block
         nN = self.dimN or 0
         T = np.zeros((self.m, self.m), dtype=np.complex128)
@@ -186,12 +186,8 @@ class RepresentationSpec(PencilScaffold):
         G = (C @ (D1 @ w))[..., None]  # P_i D1 T^{-1} v
         C[..., :nN] = 0  # P_i E_K
         w[:nN] = 0  # E_K T^{-1} v
-        return D1, (self.v.conj() @ T).reshape(1, -1), w.reshape(-1, 1), np.concatenate((C, G), axis=2)
-
-    @property
-    def pencil_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A_0, l, r), the constants that scaffold(n) tensors with I_n."""
-        return self.pencil[:3]
+        l_row, CG = (self.v.conj() @ T).reshape(1, -1), np.concatenate((C, G), axis=2)
+        return AffinePencil(self.a, D1, l_row, w.reshape(-1, 1), CG, "structured resolvent")
 
 
 def _require_half_plane(Zs: np.ndarray) -> None:
@@ -210,22 +206,13 @@ def eval_representation(spec: RepresentationSpec, Z: MatrixTuple) -> np.ndarray:
 
 
 def eval_representation_batch(spec: RepresentationSpec, points: Sequence[MatrixTuple]) -> np.ndarray:
-    """Evaluate the structured resolvent at same-size points of Pi^d, (P, n, n).
-
-    L(Z) and R(Z) per point from one pencil_terms call over the spec's
-    coefficient stack and its cached scaffold, one guarded stacked solve.
-    """
+    """Evaluate the structured resolvent at same-size points of Pi^d, (P, n, n),
+    through the spec's pencil."""
     Zs = stack_points(points)
     _require_half_plane(Zs)
     if Zs.shape[1] != spec.d:
         raise ValueError(f"Z has {Zs.shape[1]} coordinates, the decomposition has {spec.d}")
-    n = Zs.shape[-1]
-    A0, l_row, r_col = spec.scaffold(n)
-    N = A0.shape[-1]
-    terms = pencil_terms(spec.pencil[3], Zs)  # [sum C_i (x) Z_i | sum G_i (x) Z_i]
-    R = r_col if terms.shape[-1] == N else r_col + terms[..., N:]
-    sol = checked_solve(A0 - terms[..., :N], R, "structured resolvent")
-    return spec.a * np.eye(n) + l_row @ sol
+    return spec.pencil.eval_batch(Zs)
 
 
 def representation_evaluator(spec: RepresentationSpec) -> Callable[[MatrixTuple], np.ndarray]:

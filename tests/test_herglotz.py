@@ -5,6 +5,7 @@ from freepick.herglotz import (
     CAYLEY_FORM,
     FORMS,
     HERGLOTZ_TO_PICK,
+    PENCIL_COND_BOUND,
     PICK_TO_HERGLOTZ,
     RESOLVENT_FORM,
     HerglotzModel,
@@ -16,6 +17,7 @@ from freepick.herglotz import (
 )
 from freepick.jsonio import parse_spec
 from freepick.matcore import (
+    AffinePencil,
     DomainError,
     MatrixTuple,
     SingularityError,
@@ -24,7 +26,7 @@ from freepick.matcore import (
     spectral_norm,
 )
 from freepick.nevanlinna import RepresentationSpec, representation_evaluator
-from test_resolvent_oracles import delta
+from test_resolvent_oracles import delta, edge_model
 
 
 def scalar_model(u: complex, a: float = 0.0) -> HerglotzModel:
@@ -107,6 +109,49 @@ def test_delta_repeats_each_coordinate():
 def test_delta_norm_is_max_coordinate_norm():
     X = contraction(3, 2, seed=5)
     assert spectral_norm(delta(X, 2)) == pytest.approx(X.max_norm(), abs=1e-12)
+
+
+# ------------------------------------------------------------------- pencils
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pencil_constants_match_formulas_bit_for_bit(d):
+    # h(X) = c I + (l (x) I) L(X)^{-1} R(X) with L(X) = A_0 (x) I - sum C_i (x) X_i and
+    # R(X) = r (x) I + sum G_i (x) X_i, each form's CG the stack [C_i | G_i]:
+    #   Cayley:    (c, A_0, C_i, l, r, G_i) = (0, I, U E_i, v*, v, U E_i v)
+    #   resolvent: (c, A_0, C_i, l, r, G_i) = (-i a, U, E_i, v*, U v, E_i v)
+    for m in (1, 2, 4):
+        for defect in (0.0, 0.99):  # a Haar model, then one on the edge of the unitarity gate
+            base = edge_model(d, m, seed=7 * d + m, defect=defect)
+            model = HerglotzModel(d=d, m=m, U=base.U, v=base.v, a=0.5 * m)
+            U, v, size = model.U, model.v, d * m
+            E = [np.diag((np.arange(size) // m == i).astype(float)) for i in range(d)]
+            v_row, v_col = v.conj().reshape(1, -1), v.reshape(-1, 1)
+            expected = {
+                CAYLEY_FORM: (0.0, np.eye(size), v_row, v_col, [U @ Ei for Ei in E], [U @ Ei @ v for Ei in E]),
+                RESOLVENT_FORM: (-0.5j * m, U, v_row, U @ v_col, E, [Ei @ v for Ei in E]),
+            }
+            labels = {CAYLEY_FORM: "Herglotz Cayley kernel", RESOLVENT_FORM: "Herglotz resolvent"}
+            assert list(model.pencils) == list(FORMS)
+            for form, (c, A0, l, r, C, G) in expected.items():
+                pencil = model.pencils[form]
+                assert isinstance(pencil, AffinePencil) and pencil.a == c
+                assert (pencil.what, pencil.cond_bound) == (labels[form], PENCIL_COND_BOUND)
+                assert pencil.CG.shape == (d, size, size + 1)
+                got = (pencil.A0, pencil.l, pencil.r, pencil.CG[..., :size], pencil.CG[..., size])
+                for g, e in zip(got, (A0, l, r, np.array(C), np.array(G))):
+                    assert g.shape == e.shape and np.array_equal(g, e)
+
+
+def test_pencils_are_built_on_first_evaluation(fixtures_dir):
+    # neither parsing nor construction builds a pencil; the first evaluation builds
+    # both forms' pencils and the scaffold of that point size for its form only
+    for model in (parse_spec(str(fixtures_dir / "moebius_model.json")), haar_model(2, 3, seed=8)):
+        assert "pencils" not in vars(model)
+        eval_herglotz(model, contraction(model.d, 2, seed=1), RESOLVENT_FORM)
+        pencils = vars(model)["pencils"]
+        assert list(pencils[RESOLVENT_FORM]._scaffolds) == [2]
+        assert "_scaffolds" not in vars(pencils[CAYLEY_FORM])
 
 
 # ---------------------------------------------------------------- evaluation

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from freepick.jsonio import parse_spec
-from freepick.matcore import DomainError, MatrixTuple, SingularityError, imag_part, sample
+from freepick.matcore import AffinePencil, DomainError, MatrixTuple, SingularityError, imag_part, sample
 from freepick.nevanlinna import (
     AsymptoticProbe,
     RepresentationSpec,
@@ -250,8 +252,9 @@ def test_spec_rejection_messages(base, change, message):
     "fixture", ["type2_rep", "type3_rep", "type4_rep", None], ids=["type2", "type3", "type4", "type4-dimN0"]
 )
 def test_pencil_constants_match_formulas_bit_for_bit(fixture, fixtures_dir):
-    # (A_0, l, r, C, G) with L(Z) = A_0 (x) I - sum C_i (x) Z_i and R(Z) = r (x) I + sum G_i (x) Z_i;
-    # the spec holds C and G as one stack [C | G], and kinds 1 and 2 have no G column
+    # h(Z) = a I + (l (x) I) L(Z)^{-1} R(Z) with L(Z) = A_0 (x) I - sum C_i (x) Z_i and
+    # R(Z) = r (x) I + sum G_i (x) Z_i; the pencil holds C and G as one stack [C | G], kinds 1
+    # and 2 have no G column, and the solve is guarded by the singular values (no cond_bound)
     if fixture is None:
         A = np.array([[0.5, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.7]])
         spec = RepresentationSpec(**dict(P_BASE, A=A, dimN=0))
@@ -277,14 +280,28 @@ def test_pencil_constants_match_formulas_bit_for_bit(fixture, fixtures_dir):
         EK[nN:, nN:] = np.eye(m - nN)
         w = np.linalg.solve(T, v)
         expected = (D1, (v.conj() @ T).reshape(1, -1), (EK @ w).reshape(-1, 1), stack @ EK, (stack @ (D1 @ w))[..., None])
-    A0, l, r, CG = spec.pencil
-    assert spec.pencil_constants == (A0, l, r) and CG.shape[:2] == (spec.d, m) and CG.shape[2] in (m, m + 1)
-    got = (A0, l, r, CG[..., :m], CG[..., m:] if CG.shape[2] > m else None)
+    pencil = spec.pencil
+    assert isinstance(pencil, AffinePencil) and pencil.a == spec.a and type(pencil.a) is float
+    assert (pencil.what, pencil.cond_bound) == ("structured resolvent", None)
+    CG = pencil.CG
+    assert CG.shape[:2] == (spec.d, m) and CG.shape[2] in (m, m + 1)
+    got = (pencil.A0, pencil.l, pencil.r, CG[..., :m], CG[..., m:] if CG.shape[2] > m else None)
     for g, e in zip(got, expected):
         if e is None:
             assert g is None
         else:
             assert g.dtype == np.complex128 and g.shape == e.shape and np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_pencil_is_built_on_first_evaluation(kind, fixtures_dir):
+    # neither parsing nor construction builds the pencil; the first evaluation
+    # builds it with the scaffold of that point size only
+    parsed = parse_spec(str(fixtures_dir / f"type{kind}_rep.json"))
+    for s in (parsed, dataclasses.replace(parsed)):
+        assert "pencil" not in vars(s)
+        eval_representation(s, sample("pi_point", 2, s.d, seed=kind))
+        assert list(vars(s)["pencil"]._scaffolds) == [2]
 
 
 def closed_form(a: float, lam, weights, v, z, nN: int) -> complex:

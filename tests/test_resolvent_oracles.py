@@ -5,20 +5,26 @@ one pencil per point from coefficients and scaffolding cached on the model,
 and solve a stack of points through one guarded call. The oracles below are
 the per-point kron formulas they replace: delta and delta_Y assembled from
 np.kron blocks, every A (x) I_n rebuilt per call, the Cayley transform one
-coordinate at a time, and checked_solve guarded by numpy.linalg.cond. The
-two routes form the same products in the same order, so they agree to RTOL
-(in practice bit for bit), and their errors carry the same messages. The
-exception is kinds 3 and 4 of eval_representation: they form L(Z) and R(Z)
-from coefficient stacks where the oracle multiplies by delta(Z), so they
-agree to RTOL by rounding.
+coordinate at a time, and checked_solve guarded by numpy.linalg.cond. Where
+the two routes form the same products in the same order they agree to RTOL,
+in practice bit for bit, and their errors carry the same messages: kinds 1
+and 2 of eval_representation, the resolvent Herglotz form and cayley. Kinds 3
+and 4 form L(Z) and R(Z) from coefficient stacks where the oracle multiplies
+by delta(Z), and the Cayley Herglotz form forms each entry of its pencil as
+one product where the oracle multiplies by U (x) I, so they agree by rounding.
 
 The Herglotz pencils skip the singular values on the strength of
 PENCIL_COND_BOUND, so its tests draw models and points on the edge of the
-domain and compare la.cond of the oracle pencils with it. The norm gates
+domain, compare la.cond of the library's pencils and the oracle's with it,
+and hold the two routes' values within herglotz_bound, an error bound
+derived for that domain. A scalar Moebius model near h = 0 checks the Cayley
+form against exact rational arithmetic. The norm gates
 screen with Frobenius norms; their tests place matrices below, at and above
 each threshold and compare the verdicts and messages with the SVD routes
 they replace, copied here as oracles.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import numpy.linalg as la
@@ -320,15 +326,90 @@ def oracle_pencils(model: HerglotzModel, X: MatrixTuple) -> dict:
     return {CAYLEY_FORM: np.eye(D.shape[0]) - UI @ D, RESOLVENT_FORM: UI - D}
 
 
+def library_pencil(model: HerglotzModel, X: MatrixTuple, form: str) -> np.ndarray:
+    """L(X) = A_0 (x) I - sum_i C_i (x) X_i from the fields of the model's
+    pencil for the form: the products and sums eval_batch forms."""
+    pencil = model.pencils[form]
+    N = pencil.A0.shape[0]
+    terms = sum(np.kron(C[:, :N], Xi) for C, Xi in zip(pencil.CG, X.mats))
+    return np.kron(pencil.A0, np.eye(X.n)) - terms
+
+
+U_ROUND = np.finfo(float).eps / 2
+
+#: 2 sqrt(2) gamma_3 / u: both routes' rounding of one complex product and one subtraction
+CAYLEY_L_ROUNDING = 6 * np.sqrt(2)
+
+#: a first-order bound of 25 for each route's resolvent form and 25 + 37 for
+#: the Cayley forms, with room for the second-order terms; see herglotz_bound
+HERGLOTZ_ROUNDING = 80
+
+
+def herglotz_bound(model: HerglotzModel, X: MatrixTuple, form: str) -> float:
+    """How far eval_herglotz and oracle_eval_herglotz may be apart, entrywise:
+    c K^2 u (||L^{-1}|| (1 + ||s||) + |a_c|), with c = HERGLOTZ_ROUNDING,
+    K = dmn the pencil's size, u = 2^-53, L the form's pencil,
+    s = L^{-1} R with R = (I + W)(v (x) I) in the Cayley form,
+    W = (U (x) I) delta(X), and (U (x) I + delta(X))(v (x) I) in the
+    resolvent form, and a_c the constant term, 0 or -i a. Norms are spectral.
+    The bound scales with ||s||, not with h: at an edge point Re h can be
+    1e-6 or less while the solution is 1e6.
+
+    To first order in u, after Higham (Accuracy and Stability of Numerical
+    Algorithms, ch. 3, 7 and 9). Every entry that either route forms is a sum
+    of at most K + 2 complex products, within sqrt(2) gamma_{K+2} <= 5 K u
+    of its sum of absolute terms. Those sums have Frobenius norm at most
+    2.01 K, since || |U (x) I| || <= ||U (x) I||_F <= sqrt(K) (1 + t),
+    ||delta(X)||_F <= sqrt(K) and |v| is a unit vector; so L, R and I + W
+    are each formed within 10 K^2 u. LU with partial pivoting solves
+    (L + F) s^ = R with ||F|| <= 3 K u || |L^| |U^| ||, taken as at most
+    3 K^(3/2) u ||L|| <= 7 K^2 u: this assumes pivot growth of at most
+    sqrt(K) on these pencils of norm at most 2 + t, which is what partial
+    pivoting shows in practice, not its worst case.
+    Hence ||s^ - s|| <= ||L^{-1}|| (17 ||s|| + 10) K^2 u. The product with
+    v* (x) I, whose absolute value has norm 1, and the addition of a_c I
+    add at most 2 K^(3/2) u ||s|| + 2 K u (|a_c| + ||s||); as
+    ||L^{-1}|| >= 1 / ||L|| >= 1 / 2.1, the library and the resolvent oracle
+    are each within 25 K^2 u (||L^{-1}|| (1 + ||s||) + |a_c|) of h. The
+    Cayley oracle solves for s_o = L^{-1}(v (x) I) and multiplies by
+    v* (I + W) on the left. I + W = 2I - L commutes with L, so
+    s = 2 s_o - v (x) I and ||s_o|| <= (1 + ||s||) / 2. Its solve is off by
+    17 K^2 u ||L^{-1}|| ||s_o||, times ||I + W|| <= 2.01, and the row
+    v* (I + W) and the last product by 14 K^2 u and 4.1 K^2 u ||s_o||, in all
+    within 37 K^2 u ||L^{-1}|| (1 + ||s||). The routes are apart by at most
+    the sum of their bounds, 50 or 62 < c.
+    """
+    n = X.n
+    UI, D = np.kron(model.U, np.eye(n)), delta(X, model.m)
+    v_col = np.kron(model.v.reshape(-1, 1), np.eye(n))
+    if form == CAYLEY_FORM:
+        L, R, a_c = np.eye(len(D)) - UI @ D, (np.eye(len(D)) + UI @ D) @ v_col, 0.0
+    else:
+        L, R, a_c = UI - D, (UI + D) @ v_col, abs(model.a)
+    K = len(D)
+    s = la.solve(L, R)
+    inverse_norm = 1 / la.svd(L, compute_uv=False)[-1]
+    return HERGLOTZ_ROUNDING * K**2 * U_ROUND * (inverse_norm * (1 + la.norm(s, 2)) + a_c)
+
+
 def assert_pencils_within_bound(model: HerglotzModel, X: MatrixTuple) -> None:
     assert PENCIL_COND_BOUND <= COND_CUTOFF / 1e4
     if X.n == 0:  # an empty pencil: nothing to condition
         for form in FORMS:
             assert eval_herglotz(model, X, form).shape == (0, 0)
         return
-    for form, L in oracle_pencils(model, X).items():
-        assert la.cond(L) <= PENCIL_COND_BOUND
-        np.testing.assert_array_equal(eval_herglotz(model, X, form), oracle_eval_herglotz(model, X, form))
+    oracle = oracle_pencils(model, X)
+    for form in FORMS:
+        L = library_pencil(model, X, form)
+        assert la.cond(L) <= PENCIL_COND_BOUND and la.cond(oracle[form]) <= PENCIL_COND_BOUND
+        if form == RESOLVENT_FORM:
+            np.testing.assert_array_equal(L, oracle[form])
+        else:
+            # each entry is delta_jk - U_jk x_pq, one complex product rounded in either route
+            scale = np.eye(len(L)) + np.abs(np.kron(model.U, np.eye(X.n))) @ np.abs(delta(X, model.m))
+            assert (np.abs(L - oracle[form]) <= CAYLEY_L_ROUNDING * U_ROUND * scale).all()
+        gap = np.abs(eval_herglotz(model, X, form) - oracle_eval_herglotz(model, X, form)).max()
+        assert gap <= herglotz_bound(model, X, form)
 
 
 #: multiples of a threshold at which the screen tests place Frobenius norms
@@ -463,7 +544,32 @@ def test_bound_is_nearly_attained(stretch):
     model = HerglotzModel(d=1, m=1, U=np.array([[np.sqrt(stretch)]]), v=np.array([1.0]))
     X = MatrixTuple(((1.0 - CONTRACTION_MARGIN) * np.diag([1.0, -1.0]),))
     assert_pencils_within_bound(model, X)
-    assert max(la.cond(L) for L in oracle_pencils(model, X).values()) >= 0.99 * PENCIL_COND_BOUND
+    oracle = oracle_pencils(model, X)
+    for form in FORMS:
+        assert min(la.cond(oracle[form]), la.cond(library_pencil(model, X, form))) >= 0.99 * PENCIL_COND_BOUND
+
+
+#: how many times the oracle's error the Cayley form may make near h = 0
+MOEBIUS_FACTOR = 2
+
+
+@pytest.mark.parametrize("u", [1.0, np.sqrt(1 + 0.99 * UNITARITY_TOL), np.sqrt(1 - 0.99 * UNITARITY_TOL), 1 - 2.0**-36])
+def test_scalar_moebius_near_zero_loses_no_more_than_oracle(u):
+    # d = m = 1 and real u, z give h = (1 + uz) / (1 - uz). Where uz nears -1 within the
+    # contraction margin, h falls to about 5e-7 while 1 and uz are of size 1, so a form that
+    # adds terms of size 1 there (-v*v + 2 v* (I - U delta)^{-1} v would) loses relative accuracy
+    model = HerglotzModel(d=1, m=1, U=np.array([[u]]), v=np.array([1.0]))
+    for k in range(24):
+        z = -(1.0 - CONTRACTION_MARGIN) * (1 - k * 2.0**-30)
+        X = MatrixTuple((np.array([[z]]),))
+        uz = Fraction(u) * Fraction(z)
+        exact = (1 + uz) / (1 - uz)
+        assert 0 < exact < 1e-6
+        errors = []
+        for h in (eval_herglotz(model, X)[0, 0], oracle_eval_herglotz(model, X)[0, 0]):
+            assert h.imag == 0
+            errors.append(abs(Fraction(h.real) - exact))
+        assert errors[0] <= MOEBIUS_FACTOR * errors[1]
 
 
 # ------------------------------------------------------------------ batches

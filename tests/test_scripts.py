@@ -8,9 +8,11 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from freepick.jsonio import parse_series, parse_tuple
+from freepick.herglotz import FORMS, eval_herglotz
+from freepick.jsonio import parse_series, parse_spec, parse_tuple
 from freepick.matcore import SchemaError
 from freepick.monotone import REFUTED, certify_monotone
 from freepick.series import eval_series
@@ -54,7 +56,7 @@ def test_compare_reports_finds_no_difference_within_one_tree():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "43 of 43 commands identical"
+    assert lines[-1] == "46 of 46 commands identical"
     assert sum(line.startswith("same: interpolate ") for line in lines) == 3
     wide = "--point wide_point.json --direction wide_direction.json --method localizing (exit 0/0)"
     assert f"same: deriv --series d2res_series.json {wide}" in lines
@@ -128,6 +130,7 @@ def test_compare_reports_runs_the_tuple_commands(tmp_path):
         "deriv --series d2res_series --point generic_point --direction pi2_point --method localizing",
         "deriv --series d2res_series --point generic_point --direction pi2_point --method fd",
         "herglotz-eval --model moebius_model --point half_scalar_point --method resolvent",
+        "herglotz-eval --model moebius_model --point half_scalar_point --method cayley",
         "rep-eval --rep type4_rep --point pi2_point",
         "rep-eval --rep type3_rep --point pi2_point",
         "rep-classify --rep type3_rep",
@@ -176,6 +179,27 @@ def test_compare_reports_runs_the_edge_commands(tmp_path):
     assert not any(argv in earlier for argv in commands)
 
 
+def test_compare_reports_runs_the_herglotz_commands(tmp_path):
+    module = load_compare_reports()
+    model_path, point_path = tmp_path / "herglotz_model.json", tmp_path / "disk_point.json"
+    commands = module.herglotz_commands(model_path, point_path)
+    labels = [" ".join(pathlib.Path(a).stem if pathlib.Path(a).is_absolute() else a for a in argv) for argv in commands]
+    assert labels == [
+        "herglotz-eval --model herglotz_model --point disk_point --method cayley",
+        "herglotz-eval --model herglotz_model --point disk_point --method resolvent",
+    ]
+    # the generated model is unitary to rounding, and the point is a strict contraction
+    model_path.write_text(json.dumps(module.HERGLOTZ_MODEL), encoding="utf-8")
+    point_path.write_text(json.dumps(module.DISK_POINT), encoding="utf-8")
+    model, X = parse_spec(str(model_path)), parse_tuple(str(point_path))
+    assert (model.d, model.m, X.d, X.n) == (2, 2, 2, 2)
+    assert np.abs(model.U.conj().T @ model.U - np.eye(4)).max() <= 1e-15
+    assert X.max_norm() < 0.85
+    assert all(eval_herglotz(model, X, form).shape == (2, 2) for form in FORMS)
+    earlier = module.readme_commands() + module.tuple_commands(tmp_path / "generic_point.json")
+    assert not any(argv in earlier for argv in commands)
+
+
 FIELDS = ("report", "stdout", "stderr", "exit code")
 
 
@@ -200,7 +224,7 @@ def test_compare_reports_flags_any_difference(field, tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert f"differ ({FIELDS[field]}): cayley" in out
     assert f"differ ({FIELDS[field]}): cayley --point pi2_point.json --direction half2disk" in out
-    assert out.splitlines()[-1] == "41 of 43 commands identical"
+    assert out.splitlines()[-1] == "44 of 46 commands identical"
 
 
 WARNING = "{src}/freepick/cli.py:149: UserWarning: pencil off the small polydisk\n  D = series.derivative(f, X, H)\n"
@@ -239,7 +263,7 @@ def test_compare_reports_ignores_only_a_source_line_number(stderr_b, verdict, tm
     assert module.main() == (verdict != "same")
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith(f"{verdict}: ") for line in lines[:-1])
-    assert lines[-1] == f"{43 if verdict == 'same' else 0} of 43 commands identical"
+    assert lines[-1] == f"{46 if verdict == 'same' else 0} of 46 commands identical"
 
 
 def test_compare_reports_child_runs_each_command_as_a_fresh_process():
